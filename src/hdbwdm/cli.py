@@ -25,7 +25,7 @@ from .reports import (
     write_select_k,
     write_sweep,
 )
-from .validity import PipelineConfig, bwdm
+from .validity import PipelineConfig, bwdm, hd_bwdm
 from .datagen import LabeledDataset, OUTLIER
 
 _CENTER_NAMES = {"medoid": "medoid", "smedian": "spatial-median"}
@@ -137,21 +137,13 @@ def _cmd_hdbwdm(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    report = hd_bwdm_checked(X, cfg)
+    report = hd_bwdm(X, cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"report.{args.format}")
     write_index_report(report, path, args.format)
     print(f"hd-bwdm={report.bwdm!r} (K={report.K}, p={report.p}, {report.projection})")
     print(f"wrote {path}")
     return 0
-
-
-def hd_bwdm_checked(X, cfg):
-    from .validity import hd_bwdm
-
-    if cfg.p > X.shape[1]:
-        raise DataError(f"--p {cfg.p} exceeds the data dimension {X.shape[1]}")
-    return hd_bwdm(X, cfg)
 
 
 def _cmd_diagnostic(args) -> int:

@@ -16,7 +16,7 @@ depend on evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -105,6 +105,14 @@ class _RestartFailed(Exception):
     """A restart emptied a cluster under trimming; it is discarded."""
 
 
+def _lowest(values: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the ``m`` smallest values, ties to the lowest index: a stable argsort's head."""
+    cut = np.partition(values, m - 1)[m - 1]
+    keep = values < cut
+    keep[np.flatnonzero(values == cut)[: m - int(keep.sum())]] = True
+    return keep
+
+
 def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: D^2-weighted draws after a uniform first center.
 
@@ -119,10 +127,7 @@ def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Genera
     centers[0] = X[int(rng.integers(n))]
     d2 = ((X - centers[0]) ** 2).sum(axis=1)
     for k in range(1, K):
-        w = d2.copy()
-        if trim_count:
-            drop = np.argsort(d2, kind="stable")[n - trim_count:]
-            w[drop] = 0.0
+        w = np.where(_lowest(d2, n - trim_count), d2, 0.0) if trim_count else d2
         total = w.sum()
         if total > 0.0:
             idx = int(rng.choice(n, p=w / total))
@@ -147,12 +152,7 @@ def _concentration_fit(X, K, trim_count, centers, max_iter):
         d2 = cdist(X, centers, "sqeuclidean")
         labels = d2.argmin(axis=1)
         dmin = d2[np.arange(n), labels]
-        if trim_count:
-            order = np.argsort(dmin, kind="stable")  # stable: index breaks distance ties
-            retained = np.zeros(n, dtype=bool)
-            retained[order[: n - trim_count]] = True
-        else:
-            retained = np.ones(n, dtype=bool)
+        retained = _lowest(dmin, n - trim_count) if trim_count else np.ones(n, dtype=bool)
         obj = float(dmin[retained].sum())
         history.append(obj)
         if (

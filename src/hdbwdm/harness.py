@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import Partition, kmeans, trimmed_kmeans
+from .clustering import kmeans, trimmed_kmeans
 from .datagen import LabeledDataset, MixtureConfig, generate, true_partition
 from .errors import NumericalError
-from .geometry import robust_scale_apply, robust_scale_fit
-from .projection import fit_random_projection, project
+from .projection import fit_pca, fit_random_projection, project
 from .validity import IndexReport, PipelineConfig, bwdm, hd_bwdm, select_k
+from .validity import _embed, _fit_model, _score
 
 __all__ = [
     "ReplicationStats",
@@ -110,9 +110,7 @@ def run_diagnostic(cfg: MixtureConfig, p: int, alpha: float, seed: int) -> Diagn
     """
     ds_seed, proj_seed, km_seed, tk_seed = (derive_seed(seed, i) for i in range(4))
     ds = generate(replace(cfg, seed=ds_seed))
-    Xs = robust_scale_apply(ds.X, robust_scale_fit(ds.X))
-    model = fit_random_projection(cfg.d, p, proj_seed)
-    Xp = project(Xs, model)
+    Xp = project(_embed(ds.X, True), fit_random_projection(cfg.d, p, proj_seed))
 
     parts = {
         "true": true_partition(ds),
@@ -159,14 +157,22 @@ class SweepCell:
             raise ValueError(f"reps={self.reps} but {len(self.per_rep)} replication records")
 
 
-def _sweep_job(payload):
-    """One replication; module-level so worker processes can unpickle it."""
-    (p, method, rep, rep_seed, cfg, alpha, fresh_data, X_fixed) = payload
-    if fresh_data:
-        ds = generate(replace(cfg, seed=derive_seed(rep_seed, _TAG_DATASET)))
-        X = ds.X
-    else:
-        X = X_fixed
+_SWEEP = None  # a pool worker's copy of the running sweep's shared state
+
+
+def _init_worker(sweep) -> None:
+    global _SWEEP
+    _SWEEP = sweep
+
+
+def _sweep_job(job, sweep=None):
+    """One replication; module-level so worker processes can unpickle it.
+
+    ``sweep`` is ``(cfg, alpha, scaled X, {p: PCA model})``, with X None
+    for fresh data; pool workers get it once, from :func:`_init_worker`.
+    """
+    p, method, rep, rep_seed = job
+    cfg, alpha, Xs, pca = _SWEEP if sweep is None else sweep
     pcfg = PipelineConfig(
         K=cfg.K_true,
         p=p,
@@ -177,10 +183,31 @@ def _sweep_job(payload):
         seed=derive_seed(rep_seed, _TAG_REPLICATION),
     )
     try:
-        report = hd_bwdm(X, pcfg)
+        if Xs is None:  # fresh data: one dataset and one embedding per replication
+            Xs, pca = _embedding(cfg, rep_seed, [p], [method])
+        model = _fit_model(Xs, pcfg, pca.get(p) if method == "pca" else None)
+        report = _score(project(Xs, model), pcfg)
     except (ValueError, NumericalError) as exc:
         return (p, method, rep, rep_seed, None, str(exc))
     return (p, method, rep, rep_seed, report.bwdm, None)
+
+
+def _embedding(cfg, seed, p_values, methods):
+    """The dataset of ``seed`` scaled once, and one PCA fit at the largest p it reaches.
+
+    Loadings are signed row by row, so a copy of their leading rows is
+    bitwise the fit at a smaller p; a p out of reach fails per replication
+    as before.
+    """
+    Xs = _embed(generate(replace(cfg, seed=derive_seed(seed, _TAG_DATASET))).X, True)
+    usable = [p for p in p_values if 1 <= p <= min(Xs.shape[0] - 1, Xs.shape[1])]
+    if "pca" not in methods or not usable:
+        return Xs, {}
+    top = fit_pca(Xs, max(usable))
+    m, ev = top.matrix, top.explained_variance
+    return Xs, {
+        p: replace(top, p=p, matrix=m[:p].copy(), explained_variance=ev[:p]) for p in usable
+    }
 
 
 def run_sweep(
@@ -212,27 +239,19 @@ def run_sweep(
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
 
-    X_fixed = None if fresh_data else generate(replace(cfg, seed=derive_seed(master_seed, _TAG_DATASET))).X
+    fixed = (None, None) if fresh_data else _embedding(cfg, master_seed, p_values, methods)
+    sweep = (cfg, float(alpha), *fixed)
     jobs = [
-        (
-            p,
-            method,
-            rep,
-            derive_seed(master_seed, _TAG_REPLICATION, p, _METHOD_CODES[method], rep),
-            cfg,
-            float(alpha),
-            fresh_data,
-            X_fixed,
-        )
+        (p, method, rep, derive_seed(master_seed, _TAG_REPLICATION, p, _METHOD_CODES[method], rep))
         for p in p_values
         for method in methods
         for rep in range(reps)
     ]
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=(sweep,)) as pool:
             results = list(pool.map(_sweep_job, jobs, chunksize=1))
     else:
-        results = [_sweep_job(job) for job in jobs]
+        results = [_sweep_job(job, sweep) for job in jobs]
 
     by_cell: dict[tuple[int, str], list] = {(p, m): [] for p in p_values for m in methods}
     for p, method, rep, rep_seed, value, err in results:
@@ -290,11 +309,13 @@ def run_select_k(
         X, truth = data.X, true_partition(data)
     else:
         X, truth = np.asarray(data, dtype=float), None
-    result = select_k(X, k_range, cfg_template)
+    # scale once here so the true-label score reuses the scan's scaled rows
+    Xs = _embed(X, cfg_template.scale)
+    result = select_k(Xs, k_range, replace(cfg_template, scale=False))
     true_report = None
     if score_true:
         if truth is None:
             raise ValueError("score_true requires a LabeledDataset with ground-truth labels")
         cfg_true = replace(cfg_template, clusterer="external-labels")
-        true_report = hd_bwdm(X, cfg_true, true_labels=truth, projection_model=result.model)
+        true_report = hd_bwdm(Xs, replace(cfg_true, scale=False), truth, result.model)
     return SelectKReport(K_star=result.K_star, reports=result.reports, true_report=true_report)

@@ -53,21 +53,9 @@ def _report_row(rep: IndexReport) -> list[str]:
 
 
 def _report_from_cells(cells: dict) -> IndexReport:
-    return IndexReport.from_dict(
-        {
-            "abdm": float(cells["abdm"]),
-            "awdm": float(cells["awdm"]),
-            "bwdm": float(cells["bwdm"]),
-            "k": int(cells["k"]),
-            "p": cells["p"] if cells["p"] == "FULL" else int(cells["p"]),
-            "alpha": float(cells["alpha"]),
-            "projection": cells["projection"],
-            "center_kind": cells["center_kind"],
-            "seed": None if cells["seed"] == "none" else int(cells["seed"]),
-            "n_used": int(cells["n_used"]),
-            "degenerate": cells["degenerate"] == "1",
-        }
-    )
+    """``IndexReport.from_dict`` converts the types; only two CSV spellings differ."""
+    seed = None if cells["seed"] == "none" else cells["seed"]
+    return IndexReport.from_dict({**cells, "seed": seed, "degenerate": cells["degenerate"] == "1"})
 
 
 def _write_text(path, text: str) -> None:

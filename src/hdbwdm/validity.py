@@ -21,7 +21,6 @@ from scipy.spatial.distance import pdist
 from .clustering import (
     ClusterCenters,
     Partition,
-    TRIMMED,
     cluster_centers,
     kmeans,
     trimmed_kmeans,
@@ -218,6 +217,49 @@ def _sub_seeds(seed: int, n: int = 2) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(int(seed)).generate_state(n, np.uint64)]
 
 
+def _embed(X_raw, scale: bool) -> np.ndarray:
+    """Pipeline stage 1: validate the raw matrix once, then robust-scale it."""
+    X = _as_points(X_raw, "X_raw")
+    return robust_scale_apply(X, robust_scale_fit(X)) if scale else X
+
+
+def _fit_model(Xs: np.ndarray, cfg: PipelineConfig, model=None) -> ProjectionModel:
+    """Pipeline stage 2: check ``cfg.p`` against the data, then fit or vet the projection."""
+    d = Xs.shape[1]
+    if not cfg.p <= d:
+        raise ValueError(f"p={cfg.p} exceeds the data dimension d={d}")
+    if model is None:
+        if cfg.projection == "rp":
+            return fit_random_projection(d, cfg.p, _sub_seeds(cfg.seed)[0])
+        return fit_pca(Xs, cfg.p)
+    if model.kind != cfg.projection or model.p != cfg.p:
+        raise ValueError(
+            f"supplied projection model ({model.kind}, p={model.p}) "
+            f"does not match config ({cfg.projection}, p={cfg.p})"
+        )
+    return model
+
+
+def _score(Xp: np.ndarray, cfg: PipelineConfig, true_labels=None) -> IndexReport:
+    """Pipeline stage 3: partition the projected rows, then score the partition."""
+    clust_seed = _sub_seeds(cfg.seed)[1]
+    if cfg.clusterer == "trimmed-kmeans":
+        part = trimmed_kmeans(Xp, cfg.K, cfg.alpha, seed=clust_seed)
+    elif cfg.clusterer == "kmeans":
+        part = kmeans(Xp, cfg.K, seed=clust_seed)
+    else:
+        if true_labels is None:
+            raise ValueError("clusterer='external-labels' requires true_labels")
+        if true_labels.n != Xp.shape[0]:
+            raise ValueError(
+                f"true_labels cover {true_labels.n} rows but the data has {Xp.shape[0]}"
+            )
+        part = true_labels
+    return bwdm(
+        Xp, part, cfg.center_kind, projection=cfg.projection, p=cfg.p, seed=cfg.seed
+    )
+
+
 def hd_bwdm(
     X_raw,
     cfg: PipelineConfig,
@@ -233,46 +275,11 @@ def hd_bwdm(
     already marked TRIMMED), (4) the index with ``cfg.center_kind``
     centers, everything in the projected space.
 
-    ``projection_model`` lets several calls share one fitted embedding,
-    as :func:`select_k` does; it must match ``cfg.projection`` and
-    ``cfg.p``.
+    ``projection_model`` lets several calls share one fitted embedding;
+    it must match ``cfg.projection`` and ``cfg.p``.
     """
-    X = _as_points(X_raw, "X_raw")
-    d = X.shape[1]
-    if not cfg.p <= d:
-        raise ValueError(f"p={cfg.p} exceeds the data dimension d={d}")
-    if cfg.scale:
-        X = robust_scale_apply(X, robust_scale_fit(X))
-    proj_seed, clust_seed = _sub_seeds(cfg.seed)
-    if projection_model is not None:
-        if projection_model.kind != cfg.projection or projection_model.p != cfg.p:
-            raise ValueError(
-                f"supplied projection model ({projection_model.kind}, p={projection_model.p}) "
-                f"does not match config ({cfg.projection}, p={cfg.p})"
-            )
-        model = projection_model
-    elif cfg.projection == "rp":
-        model = fit_random_projection(d, cfg.p, proj_seed)
-    else:
-        model = fit_pca(X, cfg.p)
-    Xp = project(X, model)
-
-    if cfg.clusterer == "trimmed-kmeans":
-        part = trimmed_kmeans(Xp, cfg.K, cfg.alpha, seed=clust_seed)
-    elif cfg.clusterer == "kmeans":
-        part = kmeans(Xp, cfg.K, seed=clust_seed)
-    else:
-        if true_labels is None:
-            raise ValueError("clusterer='external-labels' requires true_labels")
-        if true_labels.n != X.shape[0]:
-            raise ValueError(
-                f"true_labels cover {true_labels.n} rows but the data has {X.shape[0]}"
-            )
-        part = true_labels
-
-    return bwdm(
-        Xp, part, cfg.center_kind, projection=cfg.projection, p=cfg.p, seed=cfg.seed
-    )
+    Xs = _embed(X_raw, cfg.scale)
+    return _score(project(Xs, _fit_model(Xs, cfg, projection_model)), cfg, true_labels)
 
 
 @dataclass(frozen=True)
@@ -287,39 +294,31 @@ class SelectKResult:
 def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     """Choose K by maximizing BWDM over a candidate range.
 
-    One embedding is fitted from ``cfg_template`` and shared across every
-    K so the scan compares partitions, not projections.  A K whose fit
+    The data is scaled once and sent through one projection fitted from
+    ``cfg_template``; every K partitions the same projected rows, so the
+    scan compares partitions, not projections.  A K whose fit
     fails is skipped with a warning; if every K fails a
     :class:`NumericalError` is raised.  Ties go to the smallest K.
     """
-    X = _as_points(X_raw, "X_raw")
+    Xs = _embed(X_raw, cfg_template.scale)
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValueError("k_range is empty")
-    n = X.shape[0]
-    limit = n * (1.0 - cfg_template.alpha) / 2.0
+    limit = Xs.shape[0] * (1.0 - cfg_template.alpha) / 2.0
     if ks[0] < 2 or ks[-1] > limit:
         raise ValueError(
             f"k_range must lie within [2, n*(1-alpha)/2] = [2, {limit:.1f}], got {ks[0]}..{ks[-1]}"
         )
-    Xs = robust_scale_apply(X, robust_scale_fit(X)) if cfg_template.scale else X
-    proj_seed, _ = _sub_seeds(cfg_template.seed)
-    if cfg_template.projection == "rp":
-        model = fit_random_projection(X.shape[1], cfg_template.p, proj_seed)
-    else:
-        model = fit_pca(Xs, cfg_template.p)
+    model = _fit_model(Xs, cfg_template)
+    Xp = project(Xs, model)
 
     reports: dict[int, IndexReport] = {}
     for k in ks:
-        cfg_k = replace(cfg_template, K=k)
         try:
-            reports[k] = hd_bwdm(X, cfg_k, projection_model=model)
+            reports[k] = _score(Xp, replace(cfg_template, K=k))
         except (ValueError, NumericalError) as exc:
             warnings.warn(f"K={k} skipped: {exc}", stacklevel=2)
     if not reports:
         raise NumericalError(f"no K in {ks[0]}..{ks[-1]} produced a usable fit")
-    best_k = None
-    for k in sorted(reports):  # ascending with strict >: ties keep the smallest K
-        if best_k is None or reports[k].bwdm > reports[best_k].bwdm:
-            best_k = k
+    best_k = max(sorted(reports), key=lambda k: reports[k].bwdm)  # ties keep the smallest K
     return SelectKResult(K_star=best_k, reports=reports, model=model)

@@ -14,7 +14,7 @@ from hdbwdm import (
     trimmed_kmeans,
     write_partition_csv,
 )
-from hdbwdm.clustering import _concentration_fit, _kmeanspp_init
+from hdbwdm.clustering import _concentration_fit, _kmeanspp_init, _lowest
 from oracles import canonical_labels, enumerate_kmeans, enumerate_trimmed_kmeans
 
 
@@ -166,6 +166,29 @@ def test_concentration_objective_non_increasing():
         except Exception:
             continue  # an emptied cluster is a different contract
         assert all(a >= b - 1e-9 for a, b in zip(history, history[1:]))
+
+
+def test_trimming_selection_matches_stable_argsort():
+    # retained set = head of the stable sort (ties keep the lowest indices),
+    # drop set = its tail (ties give up the highest indices)
+    rng = np.random.default_rng(8)
+    arrays = [
+        np.zeros(9),
+        np.array([3.0, 1.0, 3.0, 0.0, 3.0, 1.0, 0.0, 3.0]),
+        np.array([2.0, 2.0, 5.0, 5.0, 5.0, 0.0, 0.0, 2.0, 5.0, 1.0]),
+        np.repeat([0.0, 4.0, 1.0], [4, 5, 3]),
+    ]
+    arrays += [rng.integers(0, 4, size=int(rng.integers(2, 30))).astype(float) for _ in range(200)]
+    arrays += [rng.random(25) for _ in range(20)]
+    for values in arrays:
+        n = values.size
+        order = np.argsort(values, kind="stable")
+        for m in range(1, n + 1):
+            keep = _lowest(values, m)
+            retained = np.zeros(n, dtype=bool)
+            retained[order[:m]] = True
+            assert np.array_equal(keep, retained)
+            assert np.array_equal(np.flatnonzero(~keep), np.sort(order[m:]))
 
 
 def test_kmeanspp_ignores_planted_outliers_in_seeding():

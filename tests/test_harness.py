@@ -1,14 +1,21 @@
 """Seed derivation, replication statistics, diagnostic and sweep drivers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hdbwdm import MixtureConfig, NumericalError, PipelineConfig, generate
+import hdbwdm.geometry
+import hdbwdm.harness
+import hdbwdm.projection
+import hdbwdm.validity
+from hdbwdm import MixtureConfig, NumericalError, PipelineConfig, fit_pca, generate, hd_bwdm
 from hdbwdm.harness import (
     _METHOD_CODES,
+    _TAG_DATASET,
     _TAG_REPLICATION,
+    _embedding,
     RepResult,
     SweepCell,
     derive_seed,
@@ -163,10 +170,10 @@ def test_sweep_identical_seeds_give_zero_sd():
     from hdbwdm.harness import _sweep_job
 
     cfg = _small_mixture()
-    X = generate(cfg).X
-    payload = (6, "rp", 0, 123, cfg, 0.1, False, X)
-    a = _sweep_job(payload)
-    b = _sweep_job(payload)
+    sweep = (cfg, 0.1, *_embedding(cfg, 0, [6], ["rp"]))
+    job = (6, "rp", 0, 123)
+    a = _sweep_job(job, sweep)
+    b = _sweep_job(job, sweep)
     assert a == b and a[5] is None
     stats = replication_stats([a[4], b[4]])
     assert stats.sd == 0.0
@@ -218,3 +225,80 @@ def test_run_select_k_on_a_plain_matrix():
     assert set(report.reports) == {2, 3}
     with pytest.raises(ValueError, match="score_true"):
         run_select_k(X, [2, 3], template, score_true=True)
+
+
+def _independent_rep_value(cfg, p, method, alpha, master_seed, rep, fresh_data):
+    """One sweep replication recomputed by a standalone hd_bwdm call."""
+    rep_seed = derive_seed(master_seed, _TAG_REPLICATION, p, _METHOD_CODES[method], rep)
+    data_seed = derive_seed(rep_seed if fresh_data else master_seed, _TAG_DATASET)
+    X = generate(replace(cfg, seed=data_seed)).X
+    pcfg = PipelineConfig(K=cfg.K_true, p=p, alpha=alpha, projection=method,
+                          seed=derive_seed(rep_seed, _TAG_REPLICATION))
+    return hd_bwdm(X, pcfg).bwdm
+
+
+@pytest.mark.parametrize("fresh_data", [False, True])
+@pytest.mark.parametrize("method", ["rp", "pca"])
+def test_sweep_reps_equal_independent_hd_bwdm_calls(method, fresh_data):
+    cfg = _small_mixture()
+    cells = run_sweep(cfg, [6, 10], [method], reps=2, alpha=0.1, master_seed=7,
+                      fresh_data=fresh_data)
+    for cell in cells:
+        for rec in cell.per_rep:
+            expect = _independent_rep_value(cfg, cell.p, method, 0.1, 7, rec.rep, fresh_data)
+            assert rec.value == expect and repr(rec.value) == repr(expect)
+
+
+def _count_calls(monkeypatch, module, name, sites):
+    """Count calls to ``module.name`` through every import site in ``sites``."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for site in sites:
+        if getattr(site, name, None) is original:
+            monkeypatch.setattr(site, name, counted)
+    return calls
+
+
+_SITES = [hdbwdm.geometry, hdbwdm.projection, hdbwdm.validity, hdbwdm.harness]
+
+
+def test_fixed_data_sweep_scales_once_and_fits_pca_once(monkeypatch):
+    scale_fits = _count_calls(monkeypatch, hdbwdm.geometry, "robust_scale_fit", _SITES)
+    pca_fits = _count_calls(monkeypatch, hdbwdm.projection, "fit_pca", _SITES)
+    cells = run_sweep(_small_mixture(), [6, 10], ["rp", "pca"], reps=3, alpha=0.1, master_seed=9)
+    assert sum(c.reps for c in cells) == 12
+    assert len(scale_fits) == 1
+    assert len(pca_fits) == 1
+
+
+def test_shared_pca_models_are_bitwise_single_fits():
+    cfg = _small_mixture()
+    Xs, models = _embedding(cfg, 5, [3, 12, 7], ["rp", "pca"])
+    assert sorted(models) == [3, 7, 12]
+    assert _embedding(cfg, 5, [3, 12, 7], ["rp"])[1] == {}
+    for p in (3, 7, 12):
+        alone, shared = fit_pca(Xs, p), models[p]
+        assert shared.p == alone.p and shared.matrix.shape == (p, cfg.d)
+        assert shared.matrix.flags.c_contiguous
+        for field in ("matrix", "centers", "explained_variance"):
+            assert getattr(shared, field).tobytes() == getattr(alone, field).tobytes()
+
+
+def test_fixed_data_sweep_without_pca_runs_no_svd(monkeypatch):
+    pca_fits = _count_calls(monkeypatch, hdbwdm.projection, "fit_pca", _SITES)
+    run_sweep(_small_mixture(), [6, 10], ["rp"], reps=2, alpha=0.1, master_seed=9)
+    assert pca_fits == []
+
+
+def test_sweep_pca_beyond_rank_fails_like_a_single_call():
+    # 12 rows reach rank 11: p=11 shares the SVD, p=12 fails per replication
+    cfg = _small_mixture(n_inliers=11, outlier_fraction=0.1)
+    cells = run_sweep(cfg, [4, 11], ["pca"], reps=2, alpha=0.1, master_seed=3)
+    assert [c.p for c in cells] == [4, 11]
+    with pytest.raises(NumericalError, match=r"p=12, method=pca.*attainable rank"):
+        run_sweep(cfg, [4, 12], ["pca"], reps=2, alpha=0.1, master_seed=3)

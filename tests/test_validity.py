@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,3 +343,36 @@ def test_select_k_skips_failing_k_with_warning():
         res = select_k(X, [2, 3], cfg)
     assert res.K_star == 2
     assert sorted(res.reports) == [2]
+
+
+def test_select_k_reports_equal_independent_hd_bwdm_calls():
+    X = _three_blob_2d(3) @ np.random.default_rng(0).normal(size=(2, 12))
+    for projection in ("rp", "pca"):
+        cfg = PipelineConfig(K=2, p=5, alpha=0.1, projection=projection, seed=4)
+        res = select_k(X, range(2, 6), cfg)
+        for k, report in res.reports.items():
+            alone = hd_bwdm(X, replace(cfg, K=k), projection_model=res.model)
+            assert report == alone and repr(report) == repr(alone)
+
+
+def test_select_k_scales_and_projects_once(monkeypatch):
+    import hdbwdm.validity as validity
+
+    calls = []
+
+    def counting(name):
+        original = getattr(validity, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("robust_scale_fit", "project"):
+        monkeypatch.setattr(validity, name, counting(name))
+    cfg = PipelineConfig(K=2, p=2, alpha=0.1, seed=0)
+    res = select_k(_three_blob_2d(2), range(2, 6), cfg)
+    assert len(res.reports) == 4
+    assert calls.count("robust_scale_fit") == 1
+    assert calls.count("project") == 1
