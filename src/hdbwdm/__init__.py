@@ -12,12 +12,9 @@ from .clustering import (
     ClusterCenters,
     Partition,
     TRIMMED,
-    assign_to_centers,
     cluster_centers,
     kmeans,
-    read_partition_csv,
     trimmed_kmeans,
-    write_partition_csv,
 )
 from .datagen import (
     LabeledDataset,
@@ -34,7 +31,6 @@ from .geometry import (
     RobustScaleModel,
     SpatialMedianInfo,
     medoid,
-    pairwise_distance,
     robust_scale_apply,
     robust_scale_fit,
     spatial_median,
@@ -57,9 +53,7 @@ from .projection import (
     distortion_profile,
     fit_pca,
     fit_random_projection,
-    load_projection_model,
     project,
-    save_projection_model,
 )
 from .validity import (
     IndexReport,
@@ -79,7 +73,6 @@ __all__ = [
     "HdbwdmError",
     "DataError",
     "NumericalError",
-    "pairwise_distance",
     "spatial_median",
     "SpatialMedianInfo",
     "medoid",
@@ -92,17 +85,12 @@ __all__ = [
     "fit_pca",
     "project",
     "distortion_profile",
-    "save_projection_model",
-    "load_projection_model",
     "TRIMMED",
     "Partition",
     "ClusterCenters",
     "kmeans",
     "trimmed_kmeans",
     "cluster_centers",
-    "assign_to_centers",
-    "write_partition_csv",
-    "read_partition_csv",
     "IndexReport",
     "PipelineConfig",
     "SelectKResult",

@@ -16,17 +16,24 @@ import sys
 import numpy as np
 
 from .clustering import Partition, TRIMMED
-from .datagen import MixtureConfig, read_dataset_csv, write_dataset_csv, generate
+from .datagen import (
+    OUTLIER,
+    MixtureConfig,
+    generate,
+    read_dataset_csv,
+    true_partition,
+    write_dataset_csv,
+)
 from .errors import DataError, NumericalError
 from .harness import run_diagnostic, run_select_k, run_sweep
 from .reports import (
+    _config_dict,
     write_diagnostic,
     write_index_report,
     write_select_k,
     write_sweep,
 )
 from .validity import PipelineConfig, bwdm, hd_bwdm
-from .datagen import LabeledDataset, OUTLIER
 
 _CENTER_NAMES = {"medoid": "medoid", "smedian": "spatial-median"}
 
@@ -74,16 +81,7 @@ def _cmd_generate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.format == "json":
         obj = {
-            "config": {
-                "n_inliers": cfg.n_inliers,
-                "d": cfg.d,
-                "K_true": cfg.K_true,
-                "center_spacing": cfg.center_spacing,
-                "within_sd": cfg.within_sd,
-                "outlier_fraction": cfg.outlier_fraction,
-                "outlier_range": list(cfg.outlier_range),
-                "seed": cfg.seed,
-            },
+            "config": _config_dict(cfg),
             "X": ds.X.tolist(),
             "labels": ["OUT" if v == OUTLIER else int(v) for v in ds.labels],
         }
@@ -199,21 +197,18 @@ def _cmd_sweep(args) -> int:
 def _cmd_selectk(args) -> int:
     if args.k_min < 2 or args.k_max < args.k_min:
         raise _UsageError(f"need 2 <= --k-min <= --k-max, got {args.k_min}..{args.k_max}")
+    truth = None
     if args.input is not None:
         X, y = read_dataset_csv(args.input)
         if args.score_true:
             if y is None:
                 raise DataError(f"--score-true needs a label column in {args.input}")
-            ids = sorted(set(int(v) for v in y if v != OUTLIER))
-            cfg_data = MixtureConfig(
-                n_inliers=int((y != OUTLIER).sum()), d=X.shape[1], K_true=len(ids),
-                outlier_fraction=0.0,
-            )
-            data = LabeledDataset(X=X, labels=y, config=cfg_data)
-        else:
-            data = X
+            truth = _partition_from_labels(y)
     else:
-        data = generate(_mixture_from(args))
+        ds = generate(_mixture_from(args))
+        X = ds.X
+        if args.score_true:
+            truth = true_partition(ds)
     try:
         cfg = PipelineConfig(
             K=2,
@@ -227,9 +222,7 @@ def _cmd_selectk(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    report = run_select_k(
-        data, range(args.k_min, args.k_max + 1), cfg, score_true=args.score_true
-    )
+    report = run_select_k(X, range(args.k_min, args.k_max + 1), cfg, truth)
     write_select_k(report, args.out, args.format)
     print(f"k_star={report.K_star}")
     for k in sorted(report.reports):

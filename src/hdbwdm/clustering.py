@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, NumericalError
+from .errors import NumericalError
 from .geometry import _as_points, medoid, spatial_median
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "kmeans",
     "trimmed_kmeans",
     "cluster_centers",
-    "assign_to_centers",
-    "write_partition_csv",
-    "read_partition_csv",
 ]
 
 TRIMMED = -1  # label sentinel for observations excluded from every cluster
@@ -139,12 +136,11 @@ def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Genera
 
 
 def _concentration_fit(X, K, trim_count, centers, max_iter):
-    """One restart; returns (labels, retained_mask, objective, history)."""
+    """One restart; returns (labels, retained_mask, objective)."""
     n = X.shape[0]
     centers = centers.copy()
     labels_prev = None
     mask_prev = None
-    history = []
     labels = None
     retained = None
     obj = np.inf
@@ -154,7 +150,6 @@ def _concentration_fit(X, K, trim_count, centers, max_iter):
         dmin = d2[np.arange(n), labels]
         retained = _lowest(dmin, n - trim_count) if trim_count else np.ones(n, dtype=bool)
         obj = float(dmin[retained].sum())
-        history.append(obj)
         if (
             labels_prev is not None
             and np.array_equal(labels, labels_prev)
@@ -178,7 +173,7 @@ def _concentration_fit(X, K, trim_count, centers, max_iter):
         # the tie-break, so a cluster may still be empty at the fixpoint
         if not (retained & (labels == k)).any():
             raise _RestartFailed(f"cluster {k} empty at convergence")
-    return labels, retained, obj, history
+    return labels, retained, obj
 
 
 def _fit_best(X, K, alpha, seed, max_iter, n_init, source):
@@ -204,7 +199,7 @@ def _fit_best(X, K, alpha, seed, max_iter, n_init, source):
         rng = np.random.default_rng([seed, restart])
         init = _kmeanspp_init(X, K, trim_count, rng)
         try:
-            labels, retained, obj, _ = _concentration_fit(X, K, trim_count, init, max_iter)
+            labels, retained, obj = _concentration_fit(X, K, trim_count, init, max_iter)
         except _RestartFailed as exc:
             failures.append(str(exc))
             continue
@@ -271,52 +266,3 @@ def cluster_centers(X, part: Partition, kind: str = "medoid") -> ClusterCenters:
             centers[k] = spatial_median(members, tol=1e-12, max_iter=20000)
     return ClusterCenters(centers=centers, kind=kind, member_counts=counts)
 
-
-def assign_to_centers(X, centers: ClusterCenters | np.ndarray) -> Partition:
-    """Nearest-center labels with no trimming; ties go to the lowest id."""
-    X = _as_points(X, "X")
-    C = centers.centers if isinstance(centers, ClusterCenters) else _as_points(centers, "centers")
-    if X.shape[1] != C.shape[1]:
-        raise ValueError(f"dimension mismatch: X has {X.shape[1]} columns, centers {C.shape[1]}")
-    labels = cdist(X, C, "sqeuclidean").argmin(axis=1)
-    return Partition(labels=labels, K=C.shape[0], alpha=0.0, source="external")
-
-
-def write_partition_csv(part: Partition, path) -> None:
-    """Serialize labels as ``observation_index,label`` rows ("TRIM" when trimmed)."""
-    lines = ["observation_index,label"]
-    for i, lab in enumerate(part.labels):
-        lines.append(f"{i},{'TRIM' if lab == TRIMMED else int(lab)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_partition_csv(path, K: int | None = None) -> Partition:
-    """Read a partition written by :func:`write_partition_csv`.
-
-    ``K`` defaults to one past the largest label present.  The result is
-    tagged ``source="external"`` with ``alpha = 0``.
-    """
-    labels = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ln == 0 and line.lower().startswith("observation_index"):
-                continue
-            try:
-                idx_s, lab_s = line.split(",")
-                idx = int(idx_s)
-                lab = TRIMMED if lab_s.strip().upper() == "TRIM" else int(lab_s)
-            except ValueError as exc:
-                raise DataError(f"cannot parse partition row {ln} of {path}: {line!r}") from exc
-            labels[idx] = lab
-    if not labels:
-        raise DataError(f"partition file {path} has no rows")
-    if sorted(labels) != list(range(len(labels))):
-        raise DataError(f"partition file {path} does not index rows 0..n-1 contiguously")
-    arr = np.array([labels[i] for i in range(len(labels))], dtype=int)
-    if K is None:
-        K = int(arr.max()) + 1 if (arr != TRIMMED).any() else 1
-    return Partition(labels=arr, K=K, alpha=0.0, source="external")

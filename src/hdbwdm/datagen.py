@@ -187,7 +187,7 @@ def read_dataset_csv(path, labels: bool | None = None):
         elif any(v.upper() == "OUT" for v in last):
             labels = True
         else:
-            labels = width > 1 and all(_is_float(v) and float(v) == int(float(v)) for v in last)
+            labels = width > 1 and all(_is_float(v) and float(v).is_integer() for v in last)
     if labels and width < 2:
         raise DataError(f"dataset file {path} has no feature columns beside the label")
     try:
@@ -199,7 +199,7 @@ def read_dataset_csv(path, labels: bool | None = None):
         else:
             X = np.array([[float(v) for v in r] for r in rows])
             y = None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"cannot parse dataset file {path}: {exc}") from exc
     if not np.isfinite(X).all():
         raise DataError(f"dataset file {path} contains non-finite values")

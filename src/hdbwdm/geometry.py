@@ -18,7 +18,6 @@ from .errors import DataError
 __all__ = [
     "SpatialMedianInfo",
     "RobustScaleModel",
-    "pairwise_distance",
     "spatial_median",
     "medoid",
     "robust_scale_fit",
@@ -36,17 +35,6 @@ def _as_points(points, name: str = "points") -> np.ndarray:
     if not np.isfinite(X).all():
         raise DataError(f"{name} contains non-finite entries")
     return X
-
-
-def pairwise_distance(a, b) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DataError("points contain non-finite entries")
-    return float(np.linalg.norm(a - b))
 
 
 @dataclass(frozen=True)
@@ -177,10 +165,6 @@ class RobustScaleModel:
     scales: np.ndarray
     fallback_mask: np.ndarray
 
-    @property
-    def n_features(self) -> int:
-        return self.centers.shape[0]
-
 
 def robust_scale_fit(X) -> RobustScaleModel:
     """Fit per-column robust centers and scales.
@@ -200,8 +184,7 @@ def robust_scale_fit(X) -> RobustScaleModel:
 def robust_scale_apply(X, model: RobustScaleModel) -> np.ndarray:
     """Apply a fitted robust scaling: ``(X - centers) / scales``."""
     X = _as_points(X, "X")
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"dimension mismatch: X has {X.shape[1]} columns, model expects {model.n_features}"
-        )
+    d = model.centers.shape[0]
+    if X.shape[1] != d:
+        raise ValueError(f"dimension mismatch: X has {X.shape[1]} columns, model expects {d}")
     return (X - model.centers) / model.scales

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import kmeans, trimmed_kmeans
-from .datagen import LabeledDataset, MixtureConfig, generate, true_partition
+from .clustering import Partition, kmeans, trimmed_kmeans
+from .datagen import MixtureConfig, generate, true_partition
 from .errors import NumericalError
 from .projection import fit_pca, fit_random_projection, project
 from .validity import IndexReport, PipelineConfig, bwdm, hd_bwdm, select_k
@@ -168,11 +168,11 @@ def _init_worker(sweep) -> None:
 def _sweep_job(job, sweep=None):
     """One replication; module-level so worker processes can unpickle it.
 
-    ``sweep`` is ``(cfg, alpha, scaled X, {p: PCA model})``, with X None
-    for fresh data; pool workers get it once, from :func:`_init_worker`.
+    ``sweep`` is ``(cfg, alpha, scaled X, {p: PCA-projected rows})``, with
+    X None for fresh data; pool workers get it once, from :func:`_init_worker`.
     """
     p, method, rep, rep_seed = job
-    cfg, alpha, Xs, pca = _SWEEP if sweep is None else sweep
+    cfg, alpha, Xs, pca_rows = _SWEEP if sweep is None else sweep
     pcfg = PipelineConfig(
         K=cfg.K_true,
         p=p,
@@ -184,20 +184,22 @@ def _sweep_job(job, sweep=None):
     )
     try:
         if Xs is None:  # fresh data: one dataset and one embedding per replication
-            Xs, pca = _embedding(cfg, rep_seed, [p], [method])
-        model = _fit_model(Xs, pcfg, pca.get(p) if method == "pca" else None)
-        report = _score(project(Xs, model), pcfg)
+            Xs, pca_rows = _embedding(cfg, rep_seed, [p], [method])
+        Xp = pca_rows.get(p) if method == "pca" else None
+        if Xp is None:  # a random projection, or a PCA width out of reach
+            Xp = project(Xs, _fit_model(Xs, pcfg))
+        report = _score(Xp, pcfg)
     except (ValueError, NumericalError) as exc:
         return (p, method, rep, rep_seed, None, str(exc))
     return (p, method, rep, rep_seed, report.bwdm, None)
 
 
 def _embedding(cfg, seed, p_values, methods):
-    """The dataset of ``seed`` scaled once, and one PCA fit at the largest p it reaches.
+    """The dataset of ``seed`` scaled once, and its PCA projection at each p it reaches.
 
-    Loadings are signed row by row, so a copy of their leading rows is
-    bitwise the fit at a smaller p; a p out of reach fails per replication
-    as before.
+    One PCA fit at the largest such p serves them all: loadings are signed
+    row by row, so their leading rows are bitwise the fit at a smaller p.
+    A p out of reach gets no rows and fails per replication.
     """
     Xs = _embed(generate(replace(cfg, seed=derive_seed(seed, _TAG_DATASET))).X, True)
     usable = [p for p in p_values if 1 <= p <= min(Xs.shape[0] - 1, Xs.shape[1])]
@@ -206,7 +208,8 @@ def _embedding(cfg, seed, p_values, methods):
     top = fit_pca(Xs, max(usable))
     m, ev = top.matrix, top.explained_variance
     return Xs, {
-        p: replace(top, p=p, matrix=m[:p].copy(), explained_variance=ev[:p]) for p in usable
+        p: project(Xs, replace(top, matrix=m[:p], explained_variance=ev[:p]))
+        for p in usable
     }
 
 
@@ -293,29 +296,22 @@ class SelectKReport:
 
 
 def run_select_k(
-    data: LabeledDataset | np.ndarray,
+    X,
     k_range,
     cfg_template: PipelineConfig,
-    score_true: bool = False,
+    truth: Partition | None = None,
 ) -> SelectKReport:
-    """Scan K over shared-embedding fits; optionally score the true labels.
+    """Scan K over shared-embedding fits; optionally score a known partition.
 
-    ``data`` is either a :class:`LabeledDataset` or a plain matrix.
-    ``score_true`` needs ground-truth labels and evaluates the true
-    partition (outliers trimmed) in the same embedding the scan used;
-    the labels are never shown to the clusterer.
+    ``truth`` (for example :func:`true_partition` of a generated dataset,
+    outliers marked TRIMMED) is scored in the same embedding the scan
+    used; it is never shown to the clusterer.
     """
-    if isinstance(data, LabeledDataset):
-        X, truth = data.X, true_partition(data)
-    else:
-        X, truth = np.asarray(data, dtype=float), None
-    # scale once here so the true-label score reuses the scan's scaled rows
+    # scale once here so the truth score reuses the scan's scaled rows
     Xs = _embed(X, cfg_template.scale)
     result = select_k(Xs, k_range, replace(cfg_template, scale=False))
     true_report = None
-    if score_true:
-        if truth is None:
-            raise ValueError("score_true requires a LabeledDataset with ground-truth labels")
-        cfg_true = replace(cfg_template, clusterer="external-labels")
-        true_report = hd_bwdm(Xs, replace(cfg_true, scale=False), truth, result.model)
+    if truth is not None:
+        cfg_true = replace(cfg_template, clusterer="external-labels", scale=False)
+        true_report = hd_bwdm(Xs, cfg_true, truth, result.model)
     return SelectKReport(K_star=result.K_star, reports=result.reports, true_report=true_report)

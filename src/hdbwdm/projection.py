@@ -23,8 +23,6 @@ __all__ = [
     "fit_pca",
     "project",
     "distortion_profile",
-    "save_projection_model",
-    "load_projection_model",
 ]
 
 _KINDS = ("rp", "pca")
@@ -42,8 +40,6 @@ class ProjectionModel:
         Projection rows.  Orthonormal loadings for PCA.
     centers : ndarray, shape (d,)
         Column offsets subtracted before projecting; zeros for "rp".
-    p, d : int
-        Target and source dimension.
     seed : int or None
         Seed that generated a random projection; None for PCA.
     explained_variance : ndarray or None
@@ -53,18 +49,22 @@ class ProjectionModel:
     kind: str
     matrix: np.ndarray
     centers: np.ndarray
-    p: int
-    d: int
     seed: int | None = None
     explained_variance: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.matrix.shape != (self.p, self.d):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match (p, d)=({self.p}, {self.d})"
-            )
+
+    @property
+    def p(self) -> int:
+        """Target dimension: the number of projection rows."""
+        return self.matrix.shape[0]
+
+    @property
+    def d(self) -> int:
+        """Source dimension: the number of input columns."""
+        return self.matrix.shape[1]
 
 
 def fit_random_projection(d: int, p: int, seed: int) -> ProjectionModel:
@@ -80,9 +80,7 @@ def fit_random_projection(d: int, p: int, seed: int) -> ProjectionModel:
         raise ValueError(f"need 1 <= p <= d, got p={p}, d={d}")
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((p, d)) / np.sqrt(p)
-    return ProjectionModel(
-        kind="rp", matrix=matrix, centers=np.zeros(d), p=int(p), d=int(d), seed=int(seed)
-    )
+    return ProjectionModel(kind="rp", matrix=matrix, centers=np.zeros(d), seed=int(seed))
 
 
 def fit_pca(X, p: int) -> ProjectionModel:
@@ -114,8 +112,6 @@ def fit_pca(X, p: int) -> ProjectionModel:
         kind="pca",
         matrix=loadings,
         centers=centers,
-        p=int(p),
-        d=int(d),
         seed=None,
         explained_variance=explained,
     )
@@ -203,49 +199,3 @@ def distortion_profile(X, X_proj, max_pairs: int = 10_000, seed: int = 0) -> Dis
         pairs_sampled=int(keep.sum()),
     )
 
-
-def save_projection_model(model: ProjectionModel, path) -> None:
-    """Write a model to a small text format (kind/dims/seed header + CSV rows)."""
-    lines = [
-        f"kind={model.kind}",
-        f"p={model.p}",
-        f"d={model.d}",
-        f"seed={'none' if model.seed is None else model.seed}",
-        "centers=" + ",".join(repr(float(v)) for v in model.centers),
-    ]
-    if model.explained_variance is None:
-        lines.append("explained_variance=none")
-    else:
-        lines.append(
-            "explained_variance=" + ",".join(repr(float(v)) for v in model.explained_variance)
-        )
-    for row in model.matrix:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_projection_model(path) -> ProjectionModel:
-    """Read back a model written by :func:`save_projection_model`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    try:
-        header = dict(ln.split("=", 1) for ln in lines[:6])
-        kind = header["kind"]
-        p = int(header["p"])
-        d = int(header["d"])
-        seed = None if header["seed"] == "none" else int(header["seed"])
-        centers = np.array([float(v) for v in header["centers"].split(",")])
-        if header["explained_variance"] == "none":
-            explained = None
-        else:
-            explained = np.array([float(v) for v in header["explained_variance"].split(",")])
-        matrix = np.array([[float(v) for v in ln.split(",")] for ln in lines[6:]])
-    except (KeyError, ValueError, IndexError) as exc:
-        raise DataError(f"cannot parse projection model file {path}: {exc}") from exc
-    if matrix.shape != (p, d):
-        raise DataError(f"projection model file {path} has {matrix.shape} rows, expected ({p}, {d})")
-    return ProjectionModel(
-        kind=kind, matrix=matrix, centers=centers, p=p, d=d, seed=seed,
-        explained_variance=explained,
-    )

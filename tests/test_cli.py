@@ -89,6 +89,14 @@ def test_hdbwdm_error_exit_codes(tmp_path):
     assert main(["hdbwdm", str(path), "--p", "8"]) == 1
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_hdbwdm_non_finite_trailing_column_is_a_data_error(tmp_path, capsys, value):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"1.0,2.0\n3.0,{value}\n")
+    assert main(["hdbwdm", str(path), "--k", "2", "--p", "1", "--out", str(tmp_path)]) == 2
+    assert "contains non-finite values" in capsys.readouterr().err
+
+
 def test_hdbwdm_numerical_failure_exit_code(tmp_path):
     # identical rows: every restart converges with an empty second cluster
     dup = tmp_path / "dup.csv"

@@ -195,6 +195,20 @@ def test_dataset_csv_label_sniffing_rules(tmp_path):
     assert X.shape == (2, 2) and y is None
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_dataset_csv_non_finite_trailing_column(tmp_path, value):
+    # a non-finite trailing value is data, not a label: the finiteness check reports it
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"1.0,2.0\n3.0,{value}\n")
+    with pytest.raises(DataError, match="non-finite"):
+        read_dataset_csv(path)
+
+    # in a column named as labels it cannot be an integer label
+    path.write_text(f"x0,label\n1.0,2\n3.0,{value}\n")
+    with pytest.raises(DataError, match="cannot parse"):
+        read_dataset_csv(path)
+
+
 def test_dataset_csv_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "noisy.csv"
     path.write_text("# comment\n\n1.0,2.0\n\n3.0,4.0\n")

@@ -8,37 +8,11 @@ import pytest
 from hdbwdm import (
     DataError,
     medoid,
-    pairwise_distance,
     robust_scale_apply,
     robust_scale_fit,
     spatial_median,
 )
 from oracles import brute_medoid, distance_sum_objective, grid_spatial_median
-
-
-def test_pairwise_distance_345():
-    assert pairwise_distance([0, 0], [3, 4]) == 5.0
-
-
-def test_pairwise_distance_identity():
-    x = [1.5, -2.0, 7.0]
-    assert pairwise_distance(x, x) == 0.0
-
-
-def test_pairwise_distance_hand_value():
-    assert pairwise_distance([1, 1, 1], [2, 3, 4]) == pytest.approx(math.sqrt(14), abs=1e-12)
-
-
-def test_pairwise_distance_dim_mismatch():
-    with pytest.raises(ValueError):
-        pairwise_distance([0, 0], [1, 2, 3])
-
-
-def test_pairwise_distance_rejects_nonfinite():
-    with pytest.raises(DataError):
-        pairwise_distance([0, np.nan], [1, 2])
-    with pytest.raises(DataError):
-        pairwise_distance([0, 1], [np.inf, 2])
 
 
 def test_spatial_median_single_point():
@@ -100,11 +74,11 @@ def test_spatial_median_breakdown():
     rng = np.random.default_rng(9)
     clean = rng.normal(size=(10, 2))
     diameter = max(
-        pairwise_distance(a, b) for a in clean for b in clean
+        np.linalg.norm(a - b) for a in clean for b in clean
     )
     contaminated = clean.copy()
     contaminated[:4] += 1.0e6
-    moved = pairwise_distance(spatial_median(contaminated), spatial_median(clean))
+    moved = np.linalg.norm(spatial_median(contaminated) - spatial_median(clean))
     assert moved < diameter
 
 

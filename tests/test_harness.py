@@ -10,7 +10,17 @@ import hdbwdm.geometry
 import hdbwdm.harness
 import hdbwdm.projection
 import hdbwdm.validity
-from hdbwdm import MixtureConfig, NumericalError, PipelineConfig, fit_pca, generate, hd_bwdm
+from hdbwdm import (
+    MixtureConfig,
+    NumericalError,
+    Partition,
+    PipelineConfig,
+    fit_pca,
+    generate,
+    hd_bwdm,
+    project,
+    true_partition,
+)
 from hdbwdm.harness import (
     _METHOD_CODES,
     _TAG_DATASET,
@@ -206,7 +216,7 @@ def test_run_select_k_scores_truth_in_the_scan_embedding():
                       outlier_fraction=0.2, seed=6)
     )
     template = PipelineConfig(K=2, p=8, alpha=0.2, seed=3)
-    report = run_select_k(ds, range(2, 5), template, score_true=True)
+    report = run_select_k(ds.X, range(2, 5), template, truth=true_partition(ds))
     assert set(report.reports) == {2, 3, 4}
     assert report.K_star in (2, 3, 4)
     assert report.true_report is not None
@@ -223,8 +233,9 @@ def test_run_select_k_on_a_plain_matrix():
     report = run_select_k(X, [2, 3], template)
     assert report.true_report is None
     assert set(report.reports) == {2, 3}
-    with pytest.raises(ValueError, match="score_true"):
-        run_select_k(X, [2, 3], template, score_true=True)
+    with pytest.raises(ValueError, match="true_labels cover 10 rows but the data has 30"):
+        run_select_k(X, [2, 3], template,
+                     truth=Partition(labels=[0, 1] * 5, K=2, alpha=0.0, source="external"))
 
 
 def _independent_rep_value(cfg, p, method, alpha, master_seed, rep, fresh_data):
@@ -270,23 +281,23 @@ _SITES = [hdbwdm.geometry, hdbwdm.projection, hdbwdm.validity, hdbwdm.harness]
 def test_fixed_data_sweep_scales_once_and_fits_pca_once(monkeypatch):
     scale_fits = _count_calls(monkeypatch, hdbwdm.geometry, "robust_scale_fit", _SITES)
     pca_fits = _count_calls(monkeypatch, hdbwdm.projection, "fit_pca", _SITES)
+    projections = _count_calls(monkeypatch, hdbwdm.projection, "project", _SITES)
     cells = run_sweep(_small_mixture(), [6, 10], ["rp", "pca"], reps=3, alpha=0.1, master_seed=9)
     assert sum(c.reps for c in cells) == 12
     assert len(scale_fits) == 1
     assert len(pca_fits) == 1
+    assert len(projections) == 6 + 2  # one per rp replication, one per PCA width
 
 
 def test_shared_pca_models_are_bitwise_single_fits():
     cfg = _small_mixture()
-    Xs, models = _embedding(cfg, 5, [3, 12, 7], ["rp", "pca"])
-    assert sorted(models) == [3, 7, 12]
+    Xs, rows = _embedding(cfg, 5, [3, 12, 7], ["rp", "pca"])
+    assert sorted(rows) == [3, 7, 12]
     assert _embedding(cfg, 5, [3, 12, 7], ["rp"])[1] == {}
     for p in (3, 7, 12):
-        alone, shared = fit_pca(Xs, p), models[p]
-        assert shared.p == alone.p and shared.matrix.shape == (p, cfg.d)
-        assert shared.matrix.flags.c_contiguous
-        for field in ("matrix", "centers", "explained_variance"):
-            assert getattr(shared, field).tobytes() == getattr(alone, field).tobytes()
+        alone = project(Xs, fit_pca(Xs, p))
+        assert rows[p].shape == (Xs.shape[0], p)
+        assert rows[p].tobytes() == alone.tobytes()
 
 
 def test_fixed_data_sweep_without_pca_runs_no_svd(monkeypatch):

@@ -1,4 +1,4 @@
-"""Random projection, PCA, distortion measurement, model serialization."""
+"""Random projection, PCA, distortion measurement."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,7 @@ from hdbwdm import (
     distortion_profile,
     fit_pca,
     fit_random_projection,
-    load_projection_model,
     project,
-    save_projection_model,
 )
 
 
@@ -140,7 +138,7 @@ def test_project_linear_for_rp():
 def _orthonormal_model(d, seed):
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
     return ProjectionModel(
-        kind="rp", matrix=q, centers=np.zeros(d), p=d, d=d, seed=seed,
+        kind="rp", matrix=q, centers=np.zeros(d), seed=seed,
         explained_variance=None,
     )
 
@@ -149,7 +147,7 @@ def test_distortion_identity_projection():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(20, 5))
     model = ProjectionModel(
-        kind="rp", matrix=np.eye(5), centers=np.zeros(5), p=5, d=5, seed=0,
+        kind="rp", matrix=np.eye(5), centers=np.zeros(5), seed=0,
         explained_variance=None,
     )
     prof = distortion_profile(X, project(X, model))
@@ -204,27 +202,3 @@ def test_distortion_decays_with_p():
             eps.append(distortion_profile(X, project(X, model), max_pairs=500, seed=seed).epsilon_hat)
         medians.append(np.median(eps))
     assert all(a > b for a, b in zip(medians, medians[1:]))
-
-
-def test_model_round_trip_rp(tmp_path):
-    model = fit_random_projection(d=12, p=5, seed=99)
-    path = tmp_path / "rp.model"
-    save_projection_model(model, path)
-    loaded = load_projection_model(path)
-    assert loaded.kind == model.kind and loaded.p == model.p and loaded.d == model.d
-    assert loaded.seed == model.seed
-    assert np.array_equal(loaded.matrix, model.matrix)
-    assert np.array_equal(loaded.centers, model.centers)
-
-
-def test_model_round_trip_pca(tmp_path):
-    rng = np.random.default_rng(20)
-    model = fit_pca(rng.normal(size=(15, 6)), p=4)
-    path = tmp_path / "pca.model"
-    save_projection_model(model, path)
-    loaded = load_projection_model(path)
-    assert np.array_equal(loaded.matrix, model.matrix)
-    assert np.array_equal(loaded.centers, model.centers)
-    assert np.array_equal(loaded.explained_variance, model.explained_variance)
-    X = rng.normal(size=(7, 6))
-    assert np.array_equal(project(X, loaded), project(X, model))

@@ -13,6 +13,7 @@ from hdbwdm import (
     PipelineConfig,
     generate,
     hd_bwdm,
+    true_partition,
 )
 from hdbwdm.harness import run_diagnostic, run_select_k, run_sweep
 from hdbwdm.reports import (
@@ -162,7 +163,7 @@ def test_select_k_writers(tmp_path):
                       outlier_fraction=0.2, seed=6)
     )
     template = PipelineConfig(K=2, p=8, alpha=0.2, seed=3)
-    report = run_select_k(ds, range(2, 5), template, score_true=True)
+    report = run_select_k(ds.X, range(2, 5), template, truth=true_partition(ds))
 
     write_select_k(report, tmp_path, "csv")
     lines = (tmp_path / "selectk.csv").read_text().splitlines()

@@ -217,7 +217,7 @@ def test_trimming_monotonicity_of_n_used():
 def _identity_like_model(d, seed=0):
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
     return ProjectionModel(
-        kind="rp", matrix=q, centers=np.zeros(d), p=d, d=d, seed=seed,
+        kind="rp", matrix=q, centers=np.zeros(d), seed=seed,
         explained_variance=None,
     )
 
@@ -239,7 +239,7 @@ def test_hd_bwdm_identity_reduction_to_toy_value():
                          center_kind="spatial-median", clusterer="kmeans",
                          seed=0, scale=False)
     model = ProjectionModel(
-        kind="rp", matrix=np.eye(1), centers=np.zeros(1), p=1, d=1, seed=0,
+        kind="rp", matrix=np.eye(1), centers=np.zeros(1), seed=0,
         explained_variance=None,
     )
     rep = hd_bwdm(TOY_X, cfg, projection_model=model)
