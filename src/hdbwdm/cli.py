@@ -2,7 +2,8 @@
 
 Subcommands: generate, bwdm, hdbwdm, diagnostic, sweep, selectk.  Every
 subcommand takes ``--out DIR`` and ``--format csv|json``.  Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure.
+0 success, 1 usage error, 2 data error, 3 numerical failure or out of
+memory.
 """
 
 from __future__ import annotations
@@ -319,6 +320,10 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split()) or "allocation failed"
+        print(f"out of memory: {detail}", file=sys.stderr)
         return 3
 
 

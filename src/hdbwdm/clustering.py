@@ -11,11 +11,19 @@ Restarts are seeded individually from ``(seed, restart_index)`` and the
 best restart is chosen by the retained within-cluster sum of squared
 distances, ties going to the lowest restart index, so results do not
 depend on evaluation order.
+
+A K scan can seed every restart once, at its largest K: restart ``r``
+draws from the same stream for every K and the trim count does not
+depend on K, so the seeding for a smaller K is the leading K rows of the
+largest one, and its first concentration step's distances are the
+leading K columns.  ``_shared_seedings`` holds them for one scan.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +42,8 @@ __all__ = [
 ]
 
 TRIMMED = -1  # label sentinel for observations excluded from every cluster
+
+_N_INIT = 10  # restarts per fit
 
 _SOURCES = ("true-labels", "kmeans", "trimmed-kmeans", "external")
 
@@ -122,8 +132,9 @@ def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Genera
     n = X.shape[0]
     centers = np.empty((K, X.shape[1]))
     centers[0] = X[int(rng.integers(n))]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    d2 = np.full(n, np.inf)
     for k in range(1, K):
+        d2 = np.minimum(d2, ((X - centers[k - 1]) ** 2).sum(axis=1))
         w = np.where(_lowest(d2, n - trim_count), d2, 0.0) if trim_count else d2
         total = w.sum()
         if total > 0.0:
@@ -131,12 +142,64 @@ def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Genera
         else:  # all candidate points coincide with chosen centers
             idx = int(rng.integers(n))
         centers[k] = X[idx]
-        d2 = np.minimum(d2, ((X - centers[k]) ** 2).sum(axis=1))
     return centers
 
 
-def _concentration_fit(X, K, trim_count, centers, max_iter):
-    """One restart; returns (labels, retained_mask, objective)."""
+@dataclass(frozen=True)
+class _Seedings:
+    """Per-restart k-means++ seedings of ``X`` at a scan's largest K, with
+    each seeding's first concentration-step distances."""
+
+    X: np.ndarray
+    trim_count: int
+    seed: int
+    inits: list
+    dists: list
+
+    def usable(self, X, K, trim_count, seed, n_init) -> bool:
+        return (
+            X is self.X
+            and trim_count == self.trim_count
+            and seed == self.seed
+            and K <= self.inits[0].shape[0]
+            and n_init <= len(self.inits)
+        )
+
+
+_SHARED: ContextVar[_Seedings | None] = ContextVar("_SHARED", default=None)
+
+
+@contextmanager
+def _shared_seedings(X: np.ndarray, K_max: int, alpha: float, seed: int, n_init: int = _N_INIT):
+    """Seed every restart of ``X`` once at ``K_max`` for the fits run inside the block.
+
+    A fit of ``X`` with the same seed, trim count and restart count at any
+    K <= K_max takes the leading K rows of each seeding and the leading K
+    columns of its distances, which are bitwise what it would compute.
+    """
+    trim_count = math.ceil(alpha * X.shape[0])
+    try:
+        inits = [
+            _kmeanspp_init(X, K_max, trim_count, np.random.default_rng([seed, r]))
+            for r in range(n_init)
+        ]
+    except ValueError:  # left to each K's own fit, which reports it as that K's failure
+        shared = None
+    else:
+        dists = [cdist(X, init, "sqeuclidean") for init in inits]
+        shared = _Seedings(X, trim_count, seed, inits, dists)
+    token = _SHARED.set(shared)
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2=None):
+    """One restart; returns (labels, retained_mask, objective).
+
+    ``first_d2``, when given, is ``cdist(X, centers, "sqeuclidean")``.
+    """
     n = X.shape[0]
     centers = centers.copy()
     labels_prev = None
@@ -144,8 +207,8 @@ def _concentration_fit(X, K, trim_count, centers, max_iter):
     labels = None
     retained = None
     obj = np.inf
-    for _ in range(max_iter):
-        d2 = cdist(X, centers, "sqeuclidean")
+    for it in range(max_iter):
+        d2 = first_d2 if it == 0 and first_d2 is not None else cdist(X, centers, "sqeuclidean")
         labels = d2.argmin(axis=1)
         dmin = d2[np.arange(n), labels]
         retained = _lowest(dmin, n - trim_count) if trim_count else np.ones(n, dtype=bool)
@@ -193,13 +256,19 @@ def _fit_best(X, K, alpha, seed, max_iter, n_init, source):
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
 
+    shared = _SHARED.get()
+    if shared is not None and not shared.usable(X, K, trim_count, seed, n_init):
+        shared = None
     best = None
     failures = []
     for restart in range(n_init):
-        rng = np.random.default_rng([seed, restart])
-        init = _kmeanspp_init(X, K, trim_count, rng)
+        if shared is None:
+            init = _kmeanspp_init(X, K, trim_count, np.random.default_rng([seed, restart]))
+            first_d2 = None
+        else:
+            init, first_d2 = shared.inits[restart][:K], shared.dists[restart][:, :K]
         try:
-            labels, retained, obj = _concentration_fit(X, K, trim_count, init, max_iter)
+            labels, retained, obj = _concentration_fit(X, K, trim_count, init, max_iter, first_d2)
         except _RestartFailed as exc:
             failures.append(str(exc))
             continue
@@ -214,7 +283,7 @@ def _fit_best(X, K, alpha, seed, max_iter, n_init, source):
     return Partition(labels=out, K=K, alpha=float(alpha), source=source)
 
 
-def kmeans(X, K: int, seed: int = 0, max_iter: int = 100, n_init: int = 10) -> Partition:
+def kmeans(X, K: int, seed: int = 0, max_iter: int = 100, n_init: int = _N_INIT) -> Partition:
     """Best-of-``n_init`` Lloyd k-means with k-means++ seeding.
 
     An emptied cluster is reseeded at the point farthest from its previous
@@ -225,7 +294,7 @@ def kmeans(X, K: int, seed: int = 0, max_iter: int = 100, n_init: int = 10) -> P
 
 
 def trimmed_kmeans(
-    X, K: int, alpha: float, seed: int = 0, max_iter: int = 100, n_init: int = 10
+    X, K: int, alpha: float, seed: int = 0, max_iter: int = 100, n_init: int = _N_INIT
 ) -> Partition:
     """Trimmed k-means via concentration steps.
 

@@ -155,13 +155,23 @@ def _is_float(tok: str) -> bool:
     return True
 
 
+def _fits_label(tok: str) -> bool:
+    """Whether ``tok`` is a whole number that fits the int64 label dtype."""
+    try:
+        value = float(tok)
+    except ValueError:
+        return False
+    return value.is_integer() and -(2.0**63) <= value < 2.0**63
+
+
 def read_dataset_csv(path, labels: bool | None = None):
     """Read a dataset CSV, returning ``(X, labels_or_None)``.
 
     A header row is detected by non-numeric leading tokens.  With
     ``labels=None`` the trailing column is treated as labels when the
     header names it ``label``, when any value in it is ``OUT``, or when
-    every value in it parses as an integer; pass True/False to force.
+    every value in it is a whole number that fits int64; pass True/False
+    to force.
     """
     rows = []
     header_cells = None
@@ -187,7 +197,7 @@ def read_dataset_csv(path, labels: bool | None = None):
         elif any(v.upper() == "OUT" for v in last):
             labels = True
         else:
-            labels = width > 1 and all(_is_float(v) and float(v).is_integer() for v in last)
+            labels = width > 1 and all(_fits_label(v) for v in last)
     if labels and width < 2:
         raise DataError(f"dataset file {path} has no feature columns beside the label")
     try:

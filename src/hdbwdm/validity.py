@@ -11,6 +11,7 @@ on high-dimensional contaminated data.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -21,6 +22,7 @@ from scipy.spatial.distance import pdist
 from .clustering import (
     ClusterCenters,
     Partition,
+    _shared_seedings,
     cluster_centers,
     kmeans,
     trimmed_kmeans,
@@ -296,7 +298,9 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
 
     The data is scaled once and sent through one projection fitted from
     ``cfg_template``; every K partitions the same projected rows, so the
-    scan compares partitions, not projections.  A K whose fit
+    scan compares partitions, not projections.  Each clustering restart
+    is seeded once, at the largest K, and every K fits from the leading
+    rows of those seedings.  A K whose fit
     fails is skipped with a warning; if every K fails a
     :class:`NumericalError` is raised.  Ties go to the smallest K.
     """
@@ -312,12 +316,18 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     model = _fit_model(Xs, cfg_template)
     Xp = project(Xs, model)
 
+    if cfg_template.clusterer == "external-labels":
+        sharing = contextlib.nullcontext()
+    else:
+        alpha = cfg_template.alpha if cfg_template.clusterer == "trimmed-kmeans" else 0.0
+        sharing = _shared_seedings(Xp, ks[-1], alpha, _sub_seeds(cfg_template.seed)[1])
     reports: dict[int, IndexReport] = {}
-    for k in ks:
-        try:
-            reports[k] = _score(Xp, replace(cfg_template, K=k))
-        except (ValueError, NumericalError) as exc:
-            warnings.warn(f"K={k} skipped: {exc}", stacklevel=2)
+    with sharing:
+        for k in ks:
+            try:
+                reports[k] = _score(Xp, replace(cfg_template, K=k))
+            except (ValueError, NumericalError) as exc:
+                warnings.warn(f"K={k} skipped: {exc}", stacklevel=2)
     if not reports:
         raise NumericalError(f"no K in {ks[0]}..{ks[-1]} produced a usable fit")
     best_k = max(sorted(reports), key=lambda k: reports[k].bwdm)  # ties keep the smallest K

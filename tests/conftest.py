@@ -1,9 +1,12 @@
-"""Shared pytest plumbing: the acceptance-criteria summary table.
+"""Shared pytest plumbing: the acceptance-criteria summary table and a
+k-means++ seeding counter.
 
 Acceptance tests record one verdict per criterion before asserting, so
 the end-of-run summary always shows a pass/fail line for every criterion
 that ran, including the ones that currently fail.
 """
+
+import pytest
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
 
@@ -20,3 +23,19 @@ def pytest_terminal_summary(terminalreporter):
         passed, description = ACCEPTANCE_RESULTS[number]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number:2d}: {verdict}  {description}")
+
+
+@pytest.fixture
+def kmeanspp_calls(monkeypatch):
+    """``(K, trim_count)`` of every k-means++ seeding made while the test runs."""
+    import hdbwdm.clustering as clustering
+
+    calls = []
+    original = clustering._kmeanspp_init
+
+    def counting(X, K, trim_count, rng):
+        calls.append((K, trim_count))
+        return original(X, K, trim_count, rng)
+
+    monkeypatch.setattr(clustering, "_kmeanspp_init", counting)
+    return calls

@@ -97,6 +97,36 @@ def test_hdbwdm_non_finite_trailing_column_is_a_data_error(tmp_path, capsys, val
     assert "contains non-finite values" in capsys.readouterr().err
 
 
+def test_hdbwdm_reads_a_trailing_column_beyond_int64_as_data(tmp_path, capsys):
+    # whole-valued floats, one of them too large for an int64 label
+    rows = [f"{i % 2 * 50}.0,{i % 3}.0,{i % 2 * 40 + i % 5}.0" for i in range(19)]
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(rows + ["1.0,2.0,1e19"]) + "\n")
+    # p=3 needs the third column as data; read as labels it would leave d=2
+    code = main(["hdbwdm", str(path), "--k", "2", "--p", "3", "--format", "json",
+                 "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    report = read_index_report(tmp_path / "report.json", "json")
+    assert report.p == 3 and report.n_used == 18
+
+
+@pytest.mark.parametrize("exc, detail", [
+    (MemoryError("Unable to allocate 3.2 GiB for an array\nwith shape (20000, 20000)"),
+     "Unable to allocate 3.2 GiB for an array with shape (20000, 20000)"),
+    (MemoryError(), "allocation failed"),
+])
+def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, exc, detail):
+    import hdbwdm.cli as cli
+
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_hdbwdm", exhausted)
+    path = _write_small_dataset(tmp_path)
+    assert main(["hdbwdm", str(path), "--k", "2", "--p", "4", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"out of memory: {detail}\n"
+
+
 def test_hdbwdm_numerical_failure_exit_code(tmp_path):
     # identical rows: every restart converges with an empty second cluster
     dup = tmp_path / "dup.csv"

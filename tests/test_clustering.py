@@ -3,15 +3,30 @@
 import numpy as np
 import pytest
 
+from scipy.spatial.distance import cdist
+
 from hdbwdm import (
+    MixtureConfig,
     NumericalError,
     Partition,
     TRIMMED,
     cluster_centers,
+    fit_random_projection,
+    generate,
     kmeans,
+    project,
+    robust_scale_apply,
+    robust_scale_fit,
     trimmed_kmeans,
 )
-from hdbwdm.clustering import _RestartFailed, _concentration_fit, _kmeanspp_init, _lowest
+from hdbwdm.clustering import (
+    _SHARED,
+    _RestartFailed,
+    _concentration_fit,
+    _kmeanspp_init,
+    _lowest,
+    _shared_seedings,
+)
 from oracles import canonical_labels, enumerate_kmeans, enumerate_trimmed_kmeans
 
 
@@ -203,6 +218,97 @@ def test_kmeanspp_ignores_planted_outliers_in_seeding():
     for seed in range(20):
         centers = _kmeanspp_init(X, 2, 1, np.random.default_rng(seed))
         assert not np.any(np.all(centers == [1e6, 1e6], axis=1))
+
+
+def _reference_kmeanspp_init(X, K, trim_count, rng):
+    """Reference k-means++: updates D^2 after every draw, the last one included."""
+    n = X.shape[0]
+    centers = np.empty((K, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    for k in range(1, K):
+        w = np.where(_lowest(d2, n - trim_count), d2, 0.0) if trim_count else d2
+        total = w.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=w / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[k] = X[idx]
+        d2 = np.minimum(d2, ((X - centers[k]) ** 2).sum(axis=1))
+    return centers
+
+
+def _scan_rows(p, seed=0):
+    """Scaled, randomly projected rows of a contaminated mixture, as a K scan sees them."""
+    X = generate(MixtureConfig(n_inliers=200, d=400, K_true=4, seed=seed)).X
+    Xs = robust_scale_apply(X, robust_scale_fit(X))
+    return project(Xs, fit_random_projection(Xs.shape[1], p, seed))
+
+
+def test_kmeanspp_matches_the_reference_loop():
+    # the second matrix has 3 distinct rows, so large K reaches the zero-weight draw
+    duplicates = np.repeat(np.random.default_rng(1).normal(size=(3, 4)), 12, axis=0)
+    for X in (_scan_rows(150), duplicates):
+        for trim in (0, 4):
+            for K in range(2, 9):
+                for seed in range(5):
+                    rng = np.random.default_rng([seed, K])
+                    ref_rng = np.random.default_rng([seed, K])
+                    assert np.array_equal(
+                        _kmeanspp_init(X, K, trim, rng),
+                        _reference_kmeanspp_init(X, K, trim, ref_rng),
+                    )
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [150, 300, 400])
+def test_seedings_and_first_distances_are_prefixes_of_the_largest_k(p):
+    # the shared seeding rests on these bitwise prefix facts, including
+    # cdist computing each column independently of the others
+    X = _scan_rows(p)
+    for alpha in (0.0, 0.1):
+        trim = int(np.ceil(alpha * X.shape[0]))
+        with _shared_seedings(X, 8, alpha, seed=7):
+            shared = _SHARED.get()
+        assert _SHARED.get() is None
+        assert len(shared.inits) == 10
+        for r, (init8, dist8) in enumerate(zip(shared.inits, shared.dists)):
+            assert np.array_equal(dist8, cdist(X, init8, "sqeuclidean"))
+            for K in range(2, 9):
+                init = _kmeanspp_init(X, K, trim, np.random.default_rng([7, r]))
+                assert np.array_equal(init, init8[:K])
+                assert np.array_equal(cdist(X, init, "sqeuclidean"), dist8[:, :K])
+
+
+def test_fits_inside_a_shared_seeding_equal_standalone_fits(kmeanspp_calls):
+    X = _scan_rows(150, seed=2)
+
+    def trimmed(K, X=X, seed=3, n_init=10):
+        return trimmed_kmeans(X, K, 0.1, seed=seed, n_init=n_init)
+
+    def plain(K, X=X, seed=3, n_init=10):
+        return kmeans(X, K, seed=seed, n_init=n_init)
+
+    for fit, alpha, other in ((trimmed, 0.1, plain), (plain, 0.0, trimmed)):
+        alone = {K: fit(K) for K in range(2, 7)}
+        mismatched = [
+            (lambda: fit(7), fit(7)),  # beyond the largest K
+            (lambda: fit(4, seed=4), fit(4, seed=4)),
+            (lambda: fit(4, n_init=11), fit(4, n_init=11)),
+            (lambda: fit(4, X=X.copy()), alone[4]),
+            (lambda: other(4), other(4)),  # another trim count
+        ]
+        kmeanspp_calls.clear()
+        with _shared_seedings(X, 6, alpha, seed=3):
+            for K in range(2, 7):
+                assert np.array_equal(fit(K).labels, alone[K].labels)
+            # built once, at the largest K; every K took these seedings
+            assert [K for K, _ in kmeanspp_calls] == [6] * 10
+            # a fit the seedings do not match seeds itself, with the same result
+            for run, expected in mismatched:
+                kmeanspp_calls.clear()
+                assert np.array_equal(run().labels, expected.labels)
+                assert len(kmeanspp_calls) >= 10
 
 
 def test_cluster_centers_singleton():

@@ -209,6 +209,29 @@ def test_dataset_csv_non_finite_trailing_column(tmp_path, value):
         read_dataset_csv(path)
 
 
+@pytest.mark.parametrize("value", ["1e300", "-1e300", "9223372036854775808", "9.3e18"])
+def test_dataset_csv_whole_values_beyond_int64_are_data(tmp_path, value):
+    # whole-valued floats that no int64 label can hold are read as data
+    path = tmp_path / "huge.csv"
+    path.write_text(f"1.0,2.0\n3.0,{value}\n")
+    X, y = read_dataset_csv(path)
+    assert y is None
+    assert X.shape == (2, 2) and X[1, 1] == float(value)
+
+    # the int64 extremes that do fit still read as labels
+    path.write_text("1.0,-9223372036854775808\n3.0,9.2e18\n")
+    X, y = read_dataset_csv(path)
+    assert X.shape == (2, 1) and y.tolist() == [-(2**63), 9_200_000_000_000_000_000]
+
+    # forced or named labels still refuse the value
+    path.write_text(f"1.0,2\n3.0,{value}\n")
+    with pytest.raises(DataError, match="cannot parse"):
+        read_dataset_csv(path, labels=True)
+    path.write_text(f"x0,label\n1.0,2\n3.0,{value}\n")
+    with pytest.raises(DataError, match="cannot parse"):
+        read_dataset_csv(path)
+
+
 def test_dataset_csv_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "noisy.csv"
     path.write_text("# comment\n\n1.0,2.0\n\n3.0,4.0\n")

@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -347,12 +348,41 @@ def test_select_k_skips_failing_k_with_warning():
 
 def test_select_k_reports_equal_independent_hd_bwdm_calls():
     X = _three_blob_2d(3) @ np.random.default_rng(0).normal(size=(2, 12))
-    for projection in ("rp", "pca"):
-        cfg = PipelineConfig(K=2, p=5, alpha=0.1, projection=projection, seed=4)
+    for clusterer, projection in product(("trimmed-kmeans", "kmeans"), ("rp", "pca")):
+        cfg = PipelineConfig(K=2, p=5, alpha=0.1, projection=projection,
+                             clusterer=clusterer, seed=4)
         res = select_k(X, range(2, 6), cfg)
         for k, report in res.reports.items():
             alone = hd_bwdm(X, replace(cfg, K=k), projection_model=res.model)
             assert report == alone and repr(report) == repr(alone)
+
+
+@pytest.mark.parametrize("clusterer", ["trimmed-kmeans", "kmeans"])
+def test_select_k_seeds_each_restart_once(kmeanspp_calls, clusterer):
+    X = _three_blob_2d(3) @ np.random.default_rng(0).normal(size=(2, 12))
+    cfg = PipelineConfig(K=2, p=5, alpha=0.1, clusterer=clusterer, seed=4)
+    res = select_k(X, [5, 2, 3, 4], cfg)
+    assert sorted(res.reports) == [2, 3, 4, 5]
+    trim = math.ceil(0.1 * X.shape[0]) if clusterer == "trimmed-kmeans" else 0
+    assert kmeanspp_calls == [(5, trim)] * 10  # n_init seedings, not n_init per K
+    # the sharing ends with the scan
+    kmeanspp_calls.clear()
+    hd_bwdm(X, replace(cfg, K=3), projection_model=res.model)
+    assert kmeanspp_calls == [(3, trim)] * 10
+
+
+def test_select_k_seeding_failure_is_each_k_failure():
+    # squared distances overflow, so every k-means++ draw fails; as without
+    # the shared seeding, each K is skipped with its own warning
+    X = np.random.default_rng(0).normal(size=(40, 3)) * 1e160
+    cfg = PipelineConfig(K=2, p=3, alpha=0.1, seed=0, scale=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="no K in 2..4"):
+                select_k(X, range(2, 5), cfg)
+    skipped = [str(w.message).split(":")[0] for w in caught if w.category is UserWarning]
+    assert skipped == ["K=2 skipped", "K=3 skipped", "K=4 skipped"]
 
 
 def test_select_k_scales_and_projects_once(monkeypatch):
