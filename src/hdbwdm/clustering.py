@@ -27,7 +27,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
 from .geometry import _as_points, medoid, spatial_median
@@ -177,6 +176,8 @@ def _shared_seedings(X: np.ndarray, K_max: int, alpha: float, seed: int, n_init:
     K <= K_max takes the leading K rows of each seeding and the leading K
     columns of its distances, which are bitwise what it would compute.
     """
+    from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
+
     trim_count = math.ceil(alpha * X.shape[0])
     try:
         inits = [
@@ -200,6 +201,8 @@ def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2=None):
 
     ``first_d2``, when given, is ``cdist(X, centers, "sqeuclidean")``.
     """
+    from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
+
     n = X.shape[0]
     centers = centers.copy()
     labels_prev = None

@@ -164,6 +164,17 @@ def _fits_label(tok: str) -> bool:
     return value.is_integer() and -(2.0**63) <= value < 2.0**63
 
 
+def _float_matrix(rows: list[list[str]]) -> np.ndarray:
+    """``float()`` of every cell, parsed in one call; a cell may carry spaces."""
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        for row in rows:  # raise float()'s error for the first bad cell, named without spaces
+            for cell in row:
+                float(cell.strip())
+        raise
+
+
 def read_dataset_csv(path, labels: bool | None = None):
     """Read a dataset CSV, returning ``(X, labels_or_None)``.
 
@@ -180,9 +191,9 @@ def read_dataset_csv(path, labels: bool | None = None):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            cells = [c.strip() for c in line.split(",")]
+            cells = line.split(",")
             if header_cells is None and rows == [] and not _is_float(cells[0]):
-                header_cells = cells
+                header_cells = [c.strip() for c in cells]
                 continue
             rows.append(cells)
     if not rows:
@@ -190,7 +201,7 @@ def read_dataset_csv(path, labels: bool | None = None):
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DataError(f"dataset file {path} has ragged rows")
-    last = [r[-1] for r in rows]
+    last = [r[-1].strip() for r in rows]
     if labels is None:
         if header_cells is not None and header_cells[-1].lower() == "label":
             labels = True
@@ -200,15 +211,16 @@ def read_dataset_csv(path, labels: bool | None = None):
             labels = width > 1 and all(_fits_label(v) for v in last)
     if labels and width < 2:
         raise DataError(f"dataset file {path} has no feature columns beside the label")
+    if labels:
+        for r in rows:
+            r.pop()
     try:
+        X = _float_matrix(rows)
+        y = None
         if labels:
-            X = np.array([[float(v) for v in r[:-1]] for r in rows])
             y = np.array(
                 [OUTLIER if v.upper() == "OUT" else int(float(v)) for v in last], dtype=int
             )
-        else:
-            X = np.array([[float(v) for v in r] for r in rows])
-            y = None
     except (ValueError, OverflowError) as exc:
         raise DataError(f"cannot parse dataset file {path}: {exc}") from exc
     if not np.isfinite(X).all():

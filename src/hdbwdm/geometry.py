@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DataError
 
@@ -147,6 +146,8 @@ def medoid(points) -> tuple[int, np.ndarray]:
     Ties are broken toward the lowest index.  Returns ``(index, point)``
     where ``point`` is the actual data row (not a copy with new values).
     """
+    from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
+
     X = _as_points(points)
     sums = cdist(X, X).sum(axis=1)
     idx = int(np.argmin(sums))  # argmin takes the first minimum: lowest index

@@ -10,7 +10,6 @@ Outputs are therefore byte-identical across parallelism levels.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -251,6 +250,8 @@ def run_sweep(
         for rep in range(reps)
     ]
     if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import; only pools need it
+
         with ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=(sweep,)) as pool:
             results = list(pool.map(_sweep_job, jobs, chunksize=1))
     else:

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .clustering import (
     ClusterCenters,
@@ -108,6 +107,17 @@ class IndexReport:
         )
 
 
+def _pair_distances(C: np.ndarray) -> np.ndarray:
+    """Euclidean distances of the rows of ``C`` over pairs i < j, in ``pdist`` order.
+
+    ``np.add.accumulate`` sums each pair's squared differences one column
+    at a time, in column order, as scipy's ``pdist`` does, so the result
+    is bitwise ``pdist(C)`` without loading scipy.
+    """
+    sums = [np.add.accumulate((C[i + 1:] - C[i]) ** 2, axis=1)[:, -1] for i in range(len(C) - 1)]
+    return np.sqrt(np.concatenate(sums))
+
+
 def abdm(centers: ClusterCenters | np.ndarray) -> float:
     """Average between-center distance over ordered pairs.
 
@@ -117,7 +127,7 @@ def abdm(centers: ClusterCenters | np.ndarray) -> float:
     K = C.shape[0]
     if K < 2:
         raise ValueError(f"abdm needs at least 2 centers, got {K}")
-    return float(2.0 * pdist(C).sum() / (K * (K - 1)))
+    return float(2.0 * _pair_distances(C).sum() / (K * (K - 1)))
 
 
 def awdm(X, part: Partition, centers: ClusterCenters) -> float:

@@ -1,6 +1,8 @@
 """Subcommand behavior and exit codes of the command line front end."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 
@@ -95,6 +97,22 @@ def test_hdbwdm_non_finite_trailing_column_is_a_data_error(tmp_path, capsys, val
     path.write_text(f"1.0,2.0\n3.0,{value}\n")
     assert main(["hdbwdm", str(path), "--k", "2", "--p", "1", "--out", str(tmp_path)]) == 2
     assert "contains non-finite values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0,2.0\n3.0\n", "dataset file {path} has ragged rows"),
+    ("1.0,2.0\n3.0, x \t\n", "cannot parse dataset file {path}: could not convert string to float: 'x'"),
+    ("1.0,,2.0\n3.0,4.0,5.0\n", "cannot parse dataset file {path}: could not convert string to float: ''"),
+    ("1.0,2.0\n 3.0 , inf \n", "dataset file {path} contains non-finite values"),
+    ("nan,2.5\n3.0,4.5\n", "dataset file {path} contains non-finite values"),
+    ("x0,\tlabel\n1.0,2\n3.0, inf\n",
+     "cannot parse dataset file {path}: cannot convert float infinity to integer"),
+])
+def test_csv_data_errors_exit_2_with_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    assert main(["hdbwdm", str(path), "--k", "2", "--p", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "data error: " + message.format(path=path) + "\n"
 
 
 def test_hdbwdm_reads_a_trailing_column_beyond_int64_as_data(tmp_path, capsys):
@@ -226,15 +244,69 @@ def test_selectk_error_exits(tmp_path):
     ]) == 2
 
 
-def test_module_entry_point_runs_in_a_subprocess(tmp_path):
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_module_entry_point_runs_in_a_subprocess(tmp_path, capsys):
+    # python -m hdbwdm.cli ends in os._exit after main: what main prints must
+    # still reach the pipes, with main's exit code and the same written files
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # pipes stay buffered
+    dup = tmp_path / "dup.csv"
+    write_dataset_csv(np.ones((8, 5)), None, dup)
+    out = tmp_path / "out"
+    cases = [
+        (0, ["generate", "--n-inliers", "8", "--d", "3", "--k-true", "2",
+             "--outlier-fraction", "0", "--out", str(out)]),
+        (1, ["generate", "--bogus"]),
+        (2, ["bwdm", str(tmp_path / "missing.csv"), "--out", str(out)]),
+        (3, ["hdbwdm", str(dup), "--k", "2", "--p", "3", "--alpha", "0", "--out", str(out)]),
+    ]
+    for code, argv in cases:
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out or captured.err
+        written = _files(out)
+        shutil.rmtree(out, ignore_errors=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdbwdm.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+        assert _files(out) == written
+        assert bool(written) == (code == 0)
+
+
+_HEAVY_MODULES = """
+import json, sys
+from hdbwdm.cli import main
+
+def heavy():
+    return [m for m in ("scipy", "concurrent.futures.process") if m in sys.modules]
+
+out = sys.argv[1]
+seen = {"import": heavy()}
+codes = [main(["generate", "--n-inliers", "60", "--d", "6", "--k-true", "3", "--out", out])]
+codes.append(main(["bwdm", out + "/dataset.csv", "--center", "smedian", "--out", out + "/bw"]))
+seen["generate, bwdm"] = heavy()
+codes.append(main(["hdbwdm", out + "/dataset.csv", "--k", "3", "--p", "4", "--out", out + "/hd"]))
+seen["hdbwdm"] = heavy()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_only_distance_commands_load_scipy(tmp_path):
+    # generate and bwdm with spatial medians need no scipy distance and no
+    # process pool; hdbwdm's medoids load scipy on first use
     proc = subprocess.run(
-        [
-            sys.executable, "-m", "hdbwdm.cli", "generate",
-            "--n-inliers", "8", "--d", "3", "--k-true", "2",
-            "--outlier-fraction", "0", "--out", str(tmp_path),
-        ],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", _HEAVY_MODULES, str(tmp_path)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "dataset.csv").exists()
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["seen"] == {"import": [], "generate, bwdm": [], "hdbwdm": ["scipy"]}
+
+    argv = ["hdbwdm", str(tmp_path / "dataset.csv"), "--k", "3", "--p", "4"]
+    assert main([*argv, "--out", str(tmp_path / "in-process")]) == 0
+    in_process = (tmp_path / "in-process" / "report.csv").read_bytes()
+    assert in_process == (tmp_path / "hd" / "report.csv").read_bytes()

@@ -232,6 +232,30 @@ def test_dataset_csv_whole_values_beyond_int64_are_data(tmp_path, value):
         read_dataset_csv(path)
 
 
+_TOKENS = [
+    "-0.0", "5e-324", "1e308", repr(0.1 + 0.2), repr(2 / 3), repr(-math.pi * 1e-200),
+    "+2", "1_000", "\u0661\u0662", " 1.5", "2.5\t", "\t -7.25  ",
+]
+
+
+@pytest.mark.parametrize("header", ["", " a ,\tb, label \r\n"])
+def test_dataset_csv_cells_parse_bitwise_as_float(tmp_path, header):
+    # every cell is read exactly as float() reads it, spaces, tabs and CRLF included
+    rows = [_TOKENS, _TOKENS[::-1], _TOKENS[3:] + _TOKENS[:3]]
+    labels = [" 0", " OUT", "\t1"]
+    lines = [",".join(r + [lab]) for r, lab in zip(rows, labels)]
+    path = tmp_path / "tokens.csv"
+    path.write_bytes((header + "\r\n".join(lines) + "\r\n").encode("utf-8"))
+    X, y = read_dataset_csv(path)
+    assert X.tobytes() == np.array([[float(t) for t in r] for r in rows]).tobytes()
+    assert y.tolist() == [0, OUTLIER, 1]
+
+    path.write_bytes(("\r\n".join(",".join(r) for r in rows) + "\r\n").encode("utf-8"))
+    X, y = read_dataset_csv(path)
+    assert y is None
+    assert X.tobytes() == np.array([[float(t) for t in r] for r in rows]).tobytes()
+
+
 def test_dataset_csv_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "noisy.csv"
     path.write_text("# comment\n\n1.0,2.0\n\n3.0,4.0\n")

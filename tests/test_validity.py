@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from hdbwdm import (
     IndexReport,
@@ -25,6 +26,7 @@ from hdbwdm import (
     select_k,
     trimmed_kmeans,
 )
+from hdbwdm.validity import _pair_distances
 from oracles import direct_bwdm
 
 
@@ -57,6 +59,22 @@ def test_abdm_needs_two_clusters():
     centers = _centers([[0.0], [1.0]], [0, 0], 1)
     with pytest.raises(ValueError):
         abdm(centers)
+
+
+def test_pair_distances_are_bitwise_pdist():
+    # abdm sums its center pairs without scipy, in the order pdist uses
+    rng = np.random.default_rng(11)
+    for K in range(2, 21):
+        for d in (1, 2, 3, 20, 150, 400, 1000):
+            for scale in (1e-8, 1e-3, 1.0, 1e3, 1e100, 1e150):
+                C = rng.standard_normal((K, d)) * scale
+                assert np.array_equal(_pair_distances(C), pdist(C)), (K, d, scale)
+    C = rng.standard_normal((7, 30))
+    C[4] = C[1]
+    C[5] = 0.0
+    C[6] = 0.0
+    assert np.array_equal(_pair_distances(C), pdist(C))
+    assert np.array_equal(_pair_distances(np.zeros((4, 9))), np.zeros(6))
 
 
 def test_awdm_hand_value():
