@@ -15,7 +15,15 @@ from hdbwdm import (
     hd_bwdm,
     true_partition,
 )
-from hdbwdm.harness import run_diagnostic, run_select_k, run_sweep
+from hdbwdm.harness import (
+    DiagnosticReport,
+    RepResult,
+    SelectKReport,
+    SweepCell,
+    run_diagnostic,
+    run_select_k,
+    run_sweep,
+)
 from hdbwdm.reports import (
     diagnostic_figure_svg,
     read_diagnostic,
@@ -201,3 +209,308 @@ def test_sweep_figure_contents():
     assert ">6</text>" in svg and ">10</text>" in svg
     # one marker per (p, method) point and whiskers for defined sds
     assert svg.count("<circle") == 4
+
+
+# ------------------------------------------------------------- golden bytes
+# Reports built from literals (no clustering, so no BLAS rounding can reach
+# them) and the exact text every writer must produce for them.
+
+def _literal_report(abdm, awdm, K, seed, n_used=40):
+    return IndexReport(abdm=abdm, awdm=awdm, bwdm=abdm / awdm, K=K, p=6, alpha=0.1,
+                       projection="rp", center_kind="medoid", seed=seed, n_used=n_used)
+
+
+_DEGENERATE = IndexReport(abdm=2.0, awdm=0.0, bwdm=math.inf, K=2, p=None, alpha=0.0,
+                          projection="none", center_kind="spatial-median", seed=None,
+                          n_used=4, degenerate=True)
+_GOLDEN_CONFIG = MixtureConfig(n_inliers=40, d=30, K_true=2, center_spacing=12.5,
+                               within_sd=0.5, outlier_fraction=0.1,
+                               outlier_range=(-50.0, 50.0), seed=7)
+
+_INDEX_CSV = """\
+abdm,awdm,bwdm,k,p,alpha,projection,center_kind,seed,n_used,degenerate
+3.0,0.5,6.0,2,6,0.1,rp,medoid,11,40,0
+"""
+_INDEX_JSON = """\
+{
+  "abdm": 3.0,
+  "alpha": 0.1,
+  "awdm": 0.5,
+  "bwdm": 6.0,
+  "center_kind": "medoid",
+  "degenerate": false,
+  "k": 2,
+  "n_used": 40,
+  "p": 6,
+  "projection": "rp",
+  "seed": 11
+}
+"""
+_DEGENERATE_CSV = """\
+abdm,awdm,bwdm,k,p,alpha,projection,center_kind,seed,n_used,degenerate
+2.0,0.0,inf,2,FULL,0.0,none,spatial-median,none,4,1
+"""
+_DEGENERATE_JSON = """\
+{
+  "abdm": 2.0,
+  "alpha": 0.0,
+  "awdm": 0.0,
+  "bwdm": Infinity,
+  "center_kind": "spatial-median",
+  "degenerate": true,
+  "k": 2,
+  "n_used": 4,
+  "p": "FULL",
+  "projection": "none",
+  "seed": null
+}
+"""
+_CONFIG_COMMENTS = """\
+# cfg_n_inliers=40
+# cfg_d=30
+# cfg_K_true=2
+# cfg_center_spacing=12.5
+# cfg_within_sd=0.5
+# cfg_outlier_fraction=0.1
+# cfg_seed=7
+# cfg_outlier_lo=-50.0
+# cfg_outlier_hi=50.0
+"""
+_CONFIG_JSON = """\
+  "config": {
+    "K_true": 2,
+    "center_spacing": 12.5,
+    "d": 30,
+    "n_inliers": 40,
+    "outlier_fraction": 0.1,
+    "outlier_range": [
+      -50.0,
+      50.0
+    ],
+    "seed": 7,
+    "within_sd": 0.5
+  },
+"""
+_DIAGNOSTIC_CSV = _CONFIG_COMMENTS + """\
+# p=6
+# alpha=0.1
+# master_seed=5
+# projection_seed=99
+partition,abdm,awdm,bwdm,k,p,alpha,projection,center_kind,seed,n_used,degenerate
+true,3.0,1.5,2.0,2,6,0.1,rp,medoid,21,40,0
+kmeans,2.0,0.0,inf,2,FULL,0.0,none,spatial-median,none,4,1
+trimmed-kmeans,2.5,0.25,10.0,2,6,0.1,rp,medoid,23,40,0
+"""
+_DIAGNOSTIC_JSON = """\
+{
+  "alpha": 0.1,
+""" + _CONFIG_JSON + """\
+  "entries": {
+    "kmeans": {
+      "abdm": 2.0,
+      "alpha": 0.0,
+      "awdm": 0.0,
+      "bwdm": Infinity,
+      "center_kind": "spatial-median",
+      "degenerate": true,
+      "k": 2,
+      "n_used": 4,
+      "p": "FULL",
+      "projection": "none",
+      "seed": null
+    },
+    "trimmed-kmeans": {
+      "abdm": 2.5,
+      "alpha": 0.1,
+      "awdm": 0.25,
+      "bwdm": 10.0,
+      "center_kind": "medoid",
+      "degenerate": false,
+      "k": 2,
+      "n_used": 40,
+      "p": 6,
+      "projection": "rp",
+      "seed": 23
+    },
+    "true": {
+      "abdm": 3.0,
+      "alpha": 0.1,
+      "awdm": 1.5,
+      "bwdm": 2.0,
+      "center_kind": "medoid",
+      "degenerate": false,
+      "k": 2,
+      "n_used": 40,
+      "p": 6,
+      "projection": "rp",
+      "seed": 21
+    }
+  },
+  "master_seed": 5,
+  "p": 6,
+  "projection_seed": 99
+}
+"""
+_SWEEP_CELLS_CSV = _CONFIG_COMMENTS + """\
+# alpha=0.1
+# master_seed=9
+# fresh_data=1
+p,method,reps,mean_bwdm,sd_bwdm,cv
+6,rp,2,1.5,0.25,0.16666666666666666
+10,pca,1,2.0,nan,nan
+"""
+_SWEEP_REPS_CSV = """\
+p,method,rep,seed,value
+6,rp,0,101,1.25
+6,rp,2,103,1.75
+10,pca,1,202,2.0
+"""
+_SWEEP_JSON = """\
+{
+  "alpha": 0.1,
+  "cells": [
+    {
+      "cv": 0.16666666666666666,
+      "mean_bwdm": 1.5,
+      "method": "rp",
+      "p": 6,
+      "per_rep": [
+        [
+          0,
+          101,
+          1.25
+        ],
+        [
+          2,
+          103,
+          1.75
+        ]
+      ],
+      "reps": 2,
+      "sd_bwdm": 0.25
+    },
+    {
+      "cv": NaN,
+      "mean_bwdm": 2.0,
+      "method": "pca",
+      "p": 10,
+      "per_rep": [
+        [
+          1,
+          202,
+          2.0
+        ]
+      ],
+      "reps": 1,
+      "sd_bwdm": NaN
+    }
+  ],
+""" + _CONFIG_JSON + """\
+  "fresh_data": true,
+  "master_seed": 9
+}
+"""
+_SELECTK_CSV = """\
+# k_star=3
+candidate_k,abdm,awdm,bwdm,k,p,alpha,projection,center_kind,seed,n_used,degenerate
+2,2.0,0.0,inf,2,FULL,0.0,none,spatial-median,none,4,1
+3,4.0,0.5,8.0,3,6,0.1,rp,medoid,31,40,0
+true,4.5,0.5,9.0,3,6,0.1,rp,medoid,31,36,0
+"""
+_SELECTK_JSON = """\
+{
+  "k_star": 3,
+  "reports": {
+    "2": {
+      "abdm": 2.0,
+      "alpha": 0.0,
+      "awdm": 0.0,
+      "bwdm": Infinity,
+      "center_kind": "spatial-median",
+      "degenerate": true,
+      "k": 2,
+      "n_used": 4,
+      "p": "FULL",
+      "projection": "none",
+      "seed": null
+    },
+    "3": {
+      "abdm": 4.0,
+      "alpha": 0.1,
+      "awdm": 0.5,
+      "bwdm": 8.0,
+      "center_kind": "medoid",
+      "degenerate": false,
+      "k": 3,
+      "n_used": 40,
+      "p": 6,
+      "projection": "rp",
+      "seed": 31
+    }
+  },
+  "true_report": {
+    "abdm": 4.5,
+    "alpha": 0.1,
+    "awdm": 0.5,
+    "bwdm": 9.0,
+    "center_kind": "medoid",
+    "degenerate": false,
+    "k": 3,
+    "n_used": 36,
+    "p": 6,
+    "projection": "rp",
+    "seed": 31
+  }
+}
+"""
+
+
+def _write_golden(kind, out, fmt):
+    if kind == "index":
+        write_index_report(_literal_report(3.0, 0.5, 2, 11), out / f"report.{fmt}", fmt)
+    elif kind == "degenerate":
+        write_index_report(_DEGENERATE, out / f"report.{fmt}", fmt)
+    elif kind == "diagnostic":
+        entries = {"true": _literal_report(3.0, 1.5, 2, 21), "kmeans": _DEGENERATE,
+                   "trimmed-kmeans": _literal_report(2.5, 0.25, 2, 23)}
+        report = DiagnosticReport(entries=entries, config=_GOLDEN_CONFIG, p=6, alpha=0.1,
+                                  master_seed=5, projection_seed=99)
+        write_diagnostic(report, out, fmt)
+    elif kind == "sweep":
+        cells = [
+            SweepCell(p=6, method="rp", reps=2, mean_bwdm=1.5, sd_bwdm=0.25, cv=1 / 6,
+                      per_rep=(RepResult(0, 101, 1.25), RepResult(2, 103, 1.75))),
+            SweepCell(p=10, method="pca", reps=1, mean_bwdm=2.0, sd_bwdm=math.nan,
+                      cv=math.nan, per_rep=(RepResult(1, 202, 2.0),)),
+        ]
+        write_sweep(cells, _GOLDEN_CONFIG, 0.1, 9, True, out, fmt)
+    else:
+        # candidates deliberately out of order: the CSV rows come out sorted
+        reports = {3: _literal_report(4.0, 0.5, 3, 31), 2: _DEGENERATE}
+        true_report = _literal_report(4.5, 0.5, 3, 31, n_used=36)
+        write_select_k(SelectKReport(K_star=3, reports=reports, true_report=true_report),
+                       out, fmt)
+
+
+_GOLDEN = {
+    ("index", "csv"): {"report.csv": _INDEX_CSV},
+    ("index", "json"): {"report.json": _INDEX_JSON},
+    ("degenerate", "csv"): {"report.csv": _DEGENERATE_CSV},
+    ("degenerate", "json"): {"report.json": _DEGENERATE_JSON},
+    ("diagnostic", "csv"): {"diagnostic.csv": _DIAGNOSTIC_CSV},
+    ("diagnostic", "json"): {"diagnostic.json": _DIAGNOSTIC_JSON},
+    ("sweep", "csv"): {"sweep_cells.csv": _SWEEP_CELLS_CSV, "sweep_reps.csv": _SWEEP_REPS_CSV},
+    ("sweep", "json"): {"sweep.json": _SWEEP_JSON},
+    ("selectk", "csv"): {"selectk.csv": _SELECTK_CSV},
+    ("selectk", "json"): {"selectk.json": _SELECTK_JSON},
+}
+
+
+@pytest.mark.parametrize("kind, fmt", list(_GOLDEN))
+def test_report_files_match_golden_bytes(tmp_path, kind, fmt):
+    _write_golden(kind, tmp_path, fmt)
+    files = _GOLDEN[kind, fmt]
+    written = {p.name for p in tmp_path.iterdir() if p.suffix != ".svg"}
+    assert written == set(files)
+    for name, text in files.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
