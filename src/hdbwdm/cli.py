@@ -9,10 +9,10 @@ memory.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+import warnings
 from typing import NoReturn
 
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import DataError, NumericalError
 from .harness import run_diagnostic, run_select_k, run_sweep
 from .reports import (
     _config_dict,
+    _write_json,
     write_diagnostic,
     write_index_report,
     write_select_k,
@@ -88,9 +89,7 @@ def _cmd_generate(args) -> int:
             "labels": ["OUT" if v == OUTLIER else int(v) for v in ds.labels],
         }
         path = os.path.join(args.out, "dataset.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, obj)
     else:
         path = os.path.join(args.out, "dataset.csv")
         write_dataset_csv(ds.X, ds.labels, path, header=not args.no_header)
@@ -305,6 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -312,7 +315,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,18 +1,18 @@
 """Serialization of reports to CSV/JSON and small self-rendered figures.
 
-Floats are written with ``repr`` (shortest round-trip form) and comment
-lines carry run provenance as ``# key=value``, so a written file reads
-back into an identical in-memory structure and identical runs produce
-byte-identical files.  Figures are emitted as minimal static SVG built
-by string assembly; no plotting dependency is involved.
+One CSV codec and one JSON codec serve every report kind.  Floats are
+written with ``repr`` (shortest round-trip form) and CSV comment lines
+carry run provenance as ``# key=value``, so a written file reads back
+into an identical in-memory structure and identical runs give
+byte-identical files.  Figures are minimal static SVG; no plotting
+dependency is involved.
 """
-
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .datagen import MixtureConfig
 from .errors import DataError
@@ -35,6 +35,10 @@ _REPORT_COLS = [
     "abdm", "awdm", "bwdm", "k", "p", "alpha", "projection",
     "center_kind", "seed", "n_used", "degenerate",
 ]
+# the scalar fields of a kind, each with the type it reads back as
+_DIAG_FIELDS = dict(p=int, alpha=float, master_seed=int, projection_seed=int)
+_CELL_FIELDS = dict(p=int, method=str, reps=int, mean_bwdm=float, sd_bwdm=float, cv=float)
+_DIAG_ORDER = ["true", "kmeans", "trimmed-kmeans"]
 
 
 def _fmt(v) -> str:
@@ -47,24 +51,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _report_row(rep: IndexReport) -> list[str]:
-    d = rep.to_dict()
-    return [_fmt(d[c]) for c in _REPORT_COLS]
-
-
-def _report_from_cells(cells: dict) -> IndexReport:
-    """``IndexReport.from_dict`` converts the types; only two CSV spellings differ."""
-    seed = None if cells["seed"] == "none" else cells["seed"]
-    return IndexReport.from_dict({**cells, "seed": seed, "degenerate": cells["degenerate"] == "1"})
-
+# ---------------------------------------------------------------------- codec
 
 def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _read_commented_csv(path):
-    """Split a file into ({comment key: value}, header cells, data rows)."""
+def _write_csv(path, header, rows, meta=None) -> None:
+    """``# key=value`` comment lines, then the header, then one line per row."""
+    lines = [f"# {key}={_fmt(value)}" for key, value in (meta or {}).items()]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _read_csv(path):
+    """Read a ``_write_csv`` file back as ({comment key: value}, [{header cell: cell}])."""
     meta = {}
     header = None
     rows = []
@@ -76,90 +79,41 @@ def _read_commented_csv(path):
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value.strip()
-            elif header is None:
-                header = [c.strip() for c in line.split(",")]
+                continue
+            cells = [c.strip() for c in line.split(",")]
+            if header is None:
+                header = cells
+            elif len(cells) != len(header):
+                raise DataError(
+                    f"{path} has a row of {len(cells)} cells, but its header has {len(header)}"
+                )
             else:
-                rows.append([c.strip() for c in line.split(",")])
+                rows.append(dict(zip(header, cells)))
     if header is None:
         raise DataError(f"{path} has no header row")
-    return meta, header, rows
+    return meta, rows
 
 
-def _config_comments(cfg: MixtureConfig) -> list[str]:
-    d = asdict(cfg)
-    lo, hi = d.pop("outlier_range")
-    d["outlier_lo"], d["outlier_hi"] = lo, hi
-    return [f"# cfg_{k}={_fmt(v)}" for k, v in d.items()]
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _config_from_meta(meta: dict) -> MixtureConfig:
-    return MixtureConfig(
-        n_inliers=int(meta["cfg_n_inliers"]),
-        d=int(meta["cfg_d"]),
-        K_true=int(meta["cfg_K_true"]),
-        center_spacing=float(meta["cfg_center_spacing"]),
-        within_sd=float(meta["cfg_within_sd"]),
-        outlier_fraction=float(meta["cfg_outlier_fraction"]),
-        outlier_range=(float(meta["cfg_outlier_lo"]), float(meta["cfg_outlier_hi"])),
-        seed=int(meta["cfg_seed"]),
-    )
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def _json_dump(obj, path) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _report_row(rep: IndexReport) -> list:
+    d = rep.to_dict()
+    return [d[c] for c in _REPORT_COLS]
 
 
-# ---------------------------------------------------------------- index report
-
-def write_index_report(report: IndexReport, path, fmt: str = "csv") -> None:
-    if fmt == "json":
-        _json_dump(report.to_dict(), path)
-    else:
-        text = ",".join(_REPORT_COLS) + "\n" + ",".join(_report_row(report)) + "\n"
-        _write_text(path, text)
-
-
-def read_index_report(path, fmt: str = "csv") -> IndexReport:
-    if fmt == "json":
-        with open(path, encoding="utf-8") as fh:
-            return IndexReport.from_dict(json.load(fh))
-    _, header, rows = _read_commented_csv(path)
-    if len(rows) != 1:
-        raise DataError(f"{path} should hold exactly one report row, has {len(rows)}")
-    return _report_from_cells(dict(zip(header, rows[0])))
-
-
-# ----------------------------------------------------------------- diagnostic
-
-_DIAG_ORDER = ["true", "kmeans", "trimmed-kmeans"]
-
-
-def write_diagnostic(report: DiagnosticReport, out_dir, fmt: str = "csv") -> None:
-    """Write diagnostic.{csv|json} plus diagnostic.svg into ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
-    if fmt == "json":
-        obj = {
-            "config": _config_dict(report.config),
-            "p": report.p,
-            "alpha": report.alpha,
-            "master_seed": report.master_seed,
-            "projection_seed": report.projection_seed,
-            "entries": {k: v.to_dict() for k, v in report.entries.items()},
-        }
-        _json_dump(obj, os.path.join(out_dir, "diagnostic.json"))
-    else:
-        lines = _config_comments(report.config)
-        lines += [
-            f"# p={report.p}",
-            f"# alpha={_fmt(report.alpha)}",
-            f"# master_seed={report.master_seed}",
-            f"# projection_seed={report.projection_seed}",
-            "partition," + ",".join(_REPORT_COLS),
-        ]
-        for name in _DIAG_ORDER:
-            lines.append(name + "," + ",".join(_report_row(report.entries[name])))
-        _write_text(os.path.join(out_dir, "diagnostic.csv"), "\n".join(lines) + "\n")
-    _write_text(os.path.join(out_dir, "diagnostic.svg"), diagnostic_figure_svg(report))
+def _report_from_cells(cells: dict) -> IndexReport:
+    """``IndexReport.from_dict`` converts the types; only two CSV spellings differ."""
+    seed = None if cells["seed"] == "none" else cells["seed"]
+    return IndexReport.from_dict({**cells, "seed": seed, "degenerate": cells["degenerate"] == "1"})
 
 
 def _config_dict(cfg: MixtureConfig) -> dict:
@@ -168,36 +122,76 @@ def _config_dict(cfg: MixtureConfig) -> dict:
     return d
 
 
-def _config_from_dict(d: dict) -> MixtureConfig:
-    d = dict(d)
-    d["outlier_range"] = tuple(d["outlier_range"])
-    return MixtureConfig(**d)
+def _config_comments(cfg: MixtureConfig) -> dict:
+    """``_config_dict`` as CSV ``cfg_*`` comments, the range split into a trailing lo, hi."""
+    d = _config_dict(cfg)
+    d["outlier_lo"], d["outlier_hi"] = d.pop("outlier_range")
+    return {f"cfg_{k}": v for k, v in d.items()}
+
+
+def _config_from(info: dict) -> MixtureConfig:
+    """Decode the config of a JSON report (``config``) or of a CSV one (``cfg_*`` comments)."""
+    if "config" in info:
+        d = info["config"]
+    else:
+        d = {k[len("cfg_"):]: v for k, v in info.items() if k.startswith("cfg_")}
+        d["outlier_range"] = (d.pop("outlier_lo"), d.pop("outlier_hi"))
+    kinds = {f.name: type(f.default) for f in fields(MixtureConfig)}
+    return MixtureConfig(**{
+        k: tuple(map(float, v)) if kinds[k] is tuple else kinds[k](v) for k, v in d.items()
+    })
+
+
+# ---------------------------------------------------------------- index report
+
+def write_index_report(report: IndexReport, path, fmt: str = "csv") -> None:
+    if fmt == "json":
+        _write_json(path, report.to_dict())
+    else:
+        _write_csv(path, _REPORT_COLS, [_report_row(report)])
+
+
+def read_index_report(path, fmt: str = "csv") -> IndexReport:
+    if fmt == "json":
+        return IndexReport.from_dict(_read_json(path))
+    _, rows = _read_csv(path)
+    if len(rows) != 1:
+        raise DataError(f"{path} should hold exactly one report row, has {len(rows)}")
+    return _report_from_cells(rows[0])
+
+
+# ----------------------------------------------------------------- diagnostic
+
+def write_diagnostic(report: DiagnosticReport, out_dir, fmt: str = "csv") -> None:
+    """Write diagnostic.{csv|json} plus diagnostic.svg into ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    info = {f: getattr(report, f) for f in _DIAG_FIELDS}
+    if fmt == "json":
+        entries = {k: v.to_dict() for k, v in report.entries.items()}
+        obj = {"config": _config_dict(report.config), **info, "entries": entries}
+        _write_json(os.path.join(out_dir, "diagnostic.json"), obj)
+    else:
+        rows = [[name, *_report_row(report.entries[name])] for name in _DIAG_ORDER]
+        _write_csv(
+            os.path.join(out_dir, "diagnostic.csv"),
+            ["partition", *_REPORT_COLS],
+            rows,
+            {**_config_comments(report.config), **info},
+        )
+    _write_text(os.path.join(out_dir, "diagnostic.svg"), diagnostic_figure_svg(report))
 
 
 def read_diagnostic(out_dir, fmt: str = "csv") -> DiagnosticReport:
     if fmt == "json":
-        with open(os.path.join(out_dir, "diagnostic.json"), encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return DiagnosticReport(
-            entries={k: IndexReport.from_dict(v) for k, v in obj["entries"].items()},
-            config=_config_from_dict(obj["config"]),
-            p=int(obj["p"]),
-            alpha=float(obj["alpha"]),
-            master_seed=int(obj["master_seed"]),
-            projection_seed=int(obj["projection_seed"]),
-        )
-    meta, header, rows = _read_commented_csv(os.path.join(out_dir, "diagnostic.csv"))
-    entries = {}
-    for row in rows:
-        cells = dict(zip(header, row))
-        entries[cells["partition"]] = _report_from_cells(cells)
+        info = _read_json(os.path.join(out_dir, "diagnostic.json"))
+        entries = {k: IndexReport.from_dict(v) for k, v in info["entries"].items()}
+    else:
+        info, rows = _read_csv(os.path.join(out_dir, "diagnostic.csv"))
+        entries = {row["partition"]: _report_from_cells(row) for row in rows}
     return DiagnosticReport(
         entries=entries,
-        config=_config_from_meta(meta),
-        p=int(meta["p"]),
-        alpha=float(meta["alpha"]),
-        master_seed=int(meta["master_seed"]),
-        projection_seed=int(meta["projection_seed"]),
+        config=_config_from(info),
+        **{f: kind(info[f]) for f, kind in _DIAG_FIELDS.items()},
     )
 
 
@@ -221,36 +215,24 @@ def write_sweep(
             "master_seed": master_seed,
             "fresh_data": fresh_data,
             "cells": [
-                {
-                    "p": c.p,
-                    "method": c.method,
-                    "reps": c.reps,
-                    "mean_bwdm": c.mean_bwdm,
-                    "sd_bwdm": c.sd_bwdm,
-                    "cv": c.cv,
-                    "per_rep": [[r.rep, r.seed, r.value] for r in c.per_rep],
-                }
+                {**{f: getattr(c, f) for f in _CELL_FIELDS},
+                 "per_rep": [[r.rep, r.seed, r.value] for r in c.per_rep]}
                 for c in cells
             ],
         }
-        _json_dump(obj, os.path.join(out_dir, "sweep.json"))
+        _write_json(os.path.join(out_dir, "sweep.json"), obj)
     else:
-        head = _config_comments(cfg) + [
-            f"# alpha={_fmt(float(alpha))}",
-            f"# master_seed={master_seed}",
-            f"# fresh_data={_fmt(bool(fresh_data))}",
-        ]
-        cell_lines = head + ["p,method,reps,mean_bwdm,sd_bwdm,cv"]
-        for c in cells:
-            cell_lines.append(
-                f"{c.p},{c.method},{c.reps},{_fmt(c.mean_bwdm)},{_fmt(c.sd_bwdm)},{_fmt(c.cv)}"
-            )
-        _write_text(os.path.join(out_dir, "sweep_cells.csv"), "\n".join(cell_lines) + "\n")
-        rep_lines = ["p,method,rep,seed,value"]
-        for c in cells:
-            for r in c.per_rep:
-                rep_lines.append(f"{c.p},{c.method},{r.rep},{r.seed},{_fmt(r.value)}")
-        _write_text(os.path.join(out_dir, "sweep_reps.csv"), "\n".join(rep_lines) + "\n")
+        meta = {
+            **_config_comments(cfg),
+            "alpha": float(alpha),
+            "master_seed": master_seed,
+            "fresh_data": bool(fresh_data),
+        }
+        rows = [[getattr(c, f) for f in _CELL_FIELDS] for c in cells]
+        _write_csv(os.path.join(out_dir, "sweep_cells.csv"), _CELL_FIELDS, rows, meta)
+        rows = [[c.p, c.method, r.rep, r.seed, r.value] for c in cells for r in c.per_rep]
+        header = ["p", "method", "rep", "seed", "value"]
+        _write_csv(os.path.join(out_dir, "sweep_reps.csv"), header, rows)
     _write_text(os.path.join(out_dir, "sweep.svg"), sweep_figure_svg(cells))
 
 
@@ -260,64 +242,29 @@ def read_sweep(out_dir, fmt: str = "csv"):
     ``info`` holds the provenance: config, alpha, master_seed, fresh_data.
     """
     if fmt == "json":
-        with open(os.path.join(out_dir, "sweep.json"), encoding="utf-8") as fh:
-            obj = json.load(fh)
-        cells = [
-            SweepCell(
-                p=int(c["p"]),
-                method=c["method"],
-                reps=int(c["reps"]),
-                mean_bwdm=float(c["mean_bwdm"]),
-                sd_bwdm=float(c["sd_bwdm"]),
-                cv=float(c["cv"]),
-                per_rep=tuple(
-                    RepResult(rep=int(r), seed=int(s), value=float(v)) for r, s, v in c["per_rep"]
-                ),
-            )
-            for c in obj["cells"]
-        ]
-        info = {
-            "config": _config_from_dict(obj["config"]),
-            "alpha": float(obj["alpha"]),
-            "master_seed": int(obj["master_seed"]),
-            "fresh_data": bool(obj["fresh_data"]),
-        }
-        return cells, info
-    meta, header, rows = _read_commented_csv(os.path.join(out_dir, "sweep_cells.csv"))
-    _, rep_header, rep_rows = _read_commented_csv(os.path.join(out_dir, "sweep_reps.csv"))
-    reps_by_cell: dict[tuple[int, str], list[RepResult]] = {}
-    for row in rep_rows:
-        cells_row = dict(zip(rep_header, row))
-        key = (int(cells_row["p"]), cells_row["method"])
-        reps_by_cell.setdefault(key, []).append(
-            RepResult(
-                rep=int(cells_row["rep"]),
-                seed=int(cells_row["seed"]),
-                value=float(cells_row["value"]),
-            )
+        info = _read_json(os.path.join(out_dir, "sweep.json"))
+        rows = info["cells"]
+    else:
+        info, rows = _read_csv(os.path.join(out_dir, "sweep_cells.csv"))
+        _, reps = _read_csv(os.path.join(out_dir, "sweep_reps.csv"))
+        for c in rows:
+            c["per_rep"] = [(r["rep"], r["seed"], r["value"]) for r in reps
+                            if (int(r["p"]), r["method"]) == (int(c["p"]), c["method"])]
+    cells = [
+        SweepCell(
+            **{f: kind(c[f]) for f, kind in _CELL_FIELDS.items()},
+            per_rep=tuple(
+                RepResult(rep=int(r), seed=int(s), value=float(v)) for r, s, v in c["per_rep"]
+            ),
         )
-    cells = []
-    for row in rows:
-        c = dict(zip(header, row))
-        key = (int(c["p"]), c["method"])
-        cells.append(
-            SweepCell(
-                p=key[0],
-                method=key[1],
-                reps=int(c["reps"]),
-                mean_bwdm=float(c["mean_bwdm"]),
-                sd_bwdm=float(c["sd_bwdm"]),
-                cv=float(c["cv"]),
-                per_rep=tuple(reps_by_cell.get(key, [])),
-            )
-        )
-    info = {
-        "config": _config_from_meta(meta),
-        "alpha": float(meta["alpha"]),
-        "master_seed": int(meta["master_seed"]),
-        "fresh_data": meta["fresh_data"] == "1",
+        for c in rows
+    ]
+    return cells, {
+        "config": _config_from(info),
+        "alpha": float(info["alpha"]),
+        "master_seed": int(info["master_seed"]),
+        "fresh_data": info["fresh_data"] in (True, "1"),
     }
-    return cells, info
 
 
 # ------------------------------------------------------------------- select K
@@ -330,14 +277,17 @@ def write_select_k(report: SelectKReport, out_dir, fmt: str = "csv") -> None:
             "reports": {str(k): v.to_dict() for k, v in report.reports.items()},
             "true_report": None if report.true_report is None else report.true_report.to_dict(),
         }
-        _json_dump(obj, os.path.join(out_dir, "selectk.json"))
+        _write_json(os.path.join(out_dir, "selectk.json"), obj)
         return
-    lines = [f"# k_star={report.K_star}", "candidate_k," + ",".join(_REPORT_COLS)]
-    for k in sorted(report.reports):
-        lines.append(f"{k}," + ",".join(_report_row(report.reports[k])))
+    rows = [[k, *_report_row(report.reports[k])] for k in sorted(report.reports)]
     if report.true_report is not None:
-        lines.append("true," + ",".join(_report_row(report.true_report)))
-    _write_text(os.path.join(out_dir, "selectk.csv"), "\n".join(lines) + "\n")
+        rows.append(["true", *_report_row(report.true_report)])
+    _write_csv(
+        os.path.join(out_dir, "selectk.csv"),
+        ["candidate_k", *_REPORT_COLS],
+        rows,
+        {"k_star": report.K_star},
+    )
 
 
 # -------------------------------------------------------------------- figures

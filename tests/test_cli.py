@@ -154,6 +154,22 @@ def test_hdbwdm_numerical_failure_exit_code(tmp_path):
     assert code == 3
 
 
+def test_selectk_skip_warnings_take_one_line_each(tmp_path, capsys):
+    # identical rows: each K is skipped with a warning, then no K is usable
+    dup = tmp_path / "dup.csv"
+    dup.write_text("1.0,2.0,3.0,4.5\n" * 8)
+    code = main(["selectk", "--input", str(dup), "--k-max", "3", "--p", "3",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 3, err
+    assert lines[0].startswith("warning: K=2 skipped: ")
+    assert lines[1].startswith("warning: K=3 skipped: ")
+    assert lines[2].startswith("numerical failure: ")
+    assert ".py:" not in err
+
+
 def test_no_subcommand_and_help_exit_codes(capsys):
     assert main([]) == 1
     assert main(["--help"]) == 0

@@ -82,14 +82,19 @@ def test_index_report_round_trips_inf_and_full_space(tmp_path, fmt):
     assert math.isinf(back.bwdm) and back.p is None and back.seed is None
 
 
-def test_index_report_reader_rejects_multiple_rows(tmp_path):
+@pytest.mark.parametrize("edit, message", [
+    (lambda header, row: [header, row, row], "exactly one report row"),
+    (lambda header, row: [header, ",".join(row.split(",")[:8])], "row of 8 cells, but its header has 11"),
+    (lambda header, row: [header, row + ",7"], "row of 12 cells, but its header has 11"),
+], ids=["extra-row", "short-row", "long-row"])
+def test_index_report_reader_rejects_multiple_rows(tmp_path, edit, message):
     report = _one_report()
     path = tmp_path / "report.csv"
     write_index_report(report, path, "csv")
-    text = path.read_text()
-    path.write_text(text + text.splitlines()[1] + "\n")
-    with pytest.raises(DataError, match="exactly one report row"):
+    path.write_text("\n".join(edit(*path.read_text().splitlines())) + "\n")
+    with pytest.raises(DataError, match=message) as caught:
         read_index_report(path, "csv")
+    assert str(path) in str(caught.value)
 
 
 def test_commented_csv_needs_a_header(tmp_path):
