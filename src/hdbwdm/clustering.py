@@ -12,18 +12,17 @@ best restart is chosen by the retained within-cluster sum of squared
 distances, ties going to the lowest restart index, so results do not
 depend on evaluation order.
 
-A K scan can seed every restart once, at its largest K: restart ``r``
-draws from the same stream for every K and the trim count does not
-depend on K, so the seeding for a smaller K is the leading K rows of the
-largest one, and its first concentration step's distances are the
-leading K columns.  ``_shared_seedings`` holds them for one scan.
+Every fit takes its restarts' seedings from ``_seedings``.  A K scan
+builds them once, at its largest K, and passes them to each K's fit:
+restart ``r`` draws from the same stream for every K and the trim count
+does not depend on K, so the seeding for a smaller K is the leading K
+rows of the largest one, and its first concentration step's distances
+are the leading K columns.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,62 +143,25 @@ def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Genera
     return centers
 
 
-@dataclass(frozen=True)
-class _Seedings:
-    """Per-restart k-means++ seedings of ``X`` at a scan's largest K, with
-    each seeding's first concentration-step distances."""
+def _seedings(X: np.ndarray, K: int, trim_count: int, seed: int, n_init: int):
+    """Yield each restart's k-means++ seeding and its first-step distances.
 
-    X: np.ndarray
-    trim_count: int
-    seed: int
-    inits: list
-    dists: list
-
-    def usable(self, X, K, trim_count, seed, n_init) -> bool:
-        return (
-            X is self.X
-            and trim_count == self.trim_count
-            and seed == self.seed
-            and K <= self.inits[0].shape[0]
-            and n_init <= len(self.inits)
-        )
-
-
-_SHARED: ContextVar[_Seedings | None] = ContextVar("_SHARED", default=None)
-
-
-@contextmanager
-def _shared_seedings(X: np.ndarray, K_max: int, alpha: float, seed: int, n_init: int = _N_INIT):
-    """Seed every restart of ``X`` once at ``K_max`` for the fits run inside the block.
-
-    A fit of ``X`` with the same seed, trim count and restart count at any
-    K <= K_max takes the leading K rows of each seeding and the leading K
-    columns of its distances, which are bitwise what it would compute.
+    Restart ``r`` draws from ``default_rng([seed, r])``; each item is
+    ``(init, cdist(X, init, "sqeuclidean"))``.  A fit at any K up to
+    ``K`` takes the leading K rows and columns, which are bitwise what
+    seeding at that K computes.
     """
     from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
 
-    trim_count = math.ceil(alpha * X.shape[0])
-    try:
-        inits = [
-            _kmeanspp_init(X, K_max, trim_count, np.random.default_rng([seed, r]))
-            for r in range(n_init)
-        ]
-    except ValueError:  # left to each K's own fit, which reports it as that K's failure
-        shared = None
-    else:
-        dists = [cdist(X, init, "sqeuclidean") for init in inits]
-        shared = _Seedings(X, trim_count, seed, inits, dists)
-    token = _SHARED.set(shared)
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
+    for r in range(n_init):
+        init = _kmeanspp_init(X, K, trim_count, np.random.default_rng([seed, r]))
+        yield init, cdist(X, init, "sqeuclidean")
 
 
-def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2=None):
-    """One restart; returns (labels, retained_mask, objective).
+def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2):
+    """One restart from ``centers``; returns (labels, retained_mask, objective).
 
-    ``first_d2``, when given, is ``cdist(X, centers, "sqeuclidean")``.
+    ``first_d2`` is ``cdist(X, centers, "sqeuclidean")``.
     """
     from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
 
@@ -211,7 +173,7 @@ def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2=None):
     retained = None
     obj = np.inf
     for it in range(max_iter):
-        d2 = first_d2 if it == 0 and first_d2 is not None else cdist(X, centers, "sqeuclidean")
+        d2 = first_d2 if it == 0 else cdist(X, centers, "sqeuclidean")
         labels = d2.argmin(axis=1)
         dmin = d2[np.arange(n), labels]
         retained = _lowest(dmin, n - trim_count) if trim_count else np.ones(n, dtype=bool)
@@ -242,7 +204,12 @@ def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2=None):
     return labels, retained, obj
 
 
-def _fit_best(X, K, alpha, seed, max_iter, n_init, source):
+def _fit_best(X, K, alpha, seed, source, max_iter=100, n_init=_N_INIT, seedings=None):
+    """Best restart of a (trimmed) k-means fit.
+
+    ``seedings`` defaults to ``_seedings(X, K, ...)``, drawn one restart
+    at a time; a K scan passes the ones it built at its largest K.
+    """
     X = _as_points(X, "X")
     n = X.shape[0]
     if K < 2:
@@ -259,19 +226,15 @@ def _fit_best(X, K, alpha, seed, max_iter, n_init, source):
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
 
-    shared = _SHARED.get()
-    if shared is not None and not shared.usable(X, K, trim_count, seed, n_init):
-        shared = None
+    if seedings is None:
+        seedings = _seedings(X, K, trim_count, seed, n_init)
     best = None
     failures = []
-    for restart in range(n_init):
-        if shared is None:
-            init = _kmeanspp_init(X, K, trim_count, np.random.default_rng([seed, restart]))
-            first_d2 = None
-        else:
-            init, first_d2 = shared.inits[restart][:K], shared.dists[restart][:, :K]
+    for init, d2 in seedings:
         try:
-            labels, retained, obj = _concentration_fit(X, K, trim_count, init, max_iter, first_d2)
+            labels, retained, obj = _concentration_fit(
+                X, K, trim_count, init[:K], max_iter, d2[:, :K]
+            )
         except _RestartFailed as exc:
             failures.append(str(exc))
             continue
@@ -293,7 +256,7 @@ def kmeans(X, K: int, seed: int = 0, max_iter: int = 100, n_init: int = _N_INIT)
     center.  The restart with the lowest within-cluster sum of squared
     distances wins.
     """
-    return _fit_best(X, K, 0.0, seed, max_iter, n_init, source="kmeans")
+    return _fit_best(X, K, 0.0, seed, "kmeans", max_iter, n_init)
 
 
 def trimmed_kmeans(
@@ -307,7 +270,7 @@ def trimmed_kmeans(
     ``alpha = 0`` the result is identical to :func:`kmeans` under the
     same seed schedule (apart from the recorded source).
     """
-    return _fit_best(X, K, alpha, seed, max_iter, n_init, source="trimmed-kmeans")
+    return _fit_best(X, K, alpha, seed, "trimmed-kmeans", max_iter, n_init)
 
 
 def cluster_centers(X, part: Partition, kind: str = "medoid") -> ClusterCenters:

@@ -228,8 +228,9 @@ def run_sweep(
     master seed and varies only the projection and clustering seeds;
     ``fresh_data=True`` regenerates the dataset per replication.  Failed
     replications are dropped; a cell with more than 20% failures raises
-    a :class:`NumericalError`.  Replications may run across
-    ``n_workers`` processes without changing any output.
+    a :class:`NumericalError`.  Replications may run across up to
+    ``n_workers`` processes, never more than there are replications,
+    without changing any output.
     """
     p_values = [int(p) for p in p_values]
     methods = list(methods)
@@ -240,6 +241,8 @@ def run_sweep(
             raise ValueError(f"unknown method {m!r}, expected one of {sorted(_METHOD_CODES)}")
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
 
     fixed = (None, None) if fresh_data else _embedding(cfg, master_seed, p_values, methods)
     sweep = (cfg, float(alpha), *fixed)
@@ -249,6 +252,7 @@ def run_sweep(
         for method in methods
         for rep in range(reps)
     ]
+    n_workers = min(n_workers, len(jobs))  # a pool starts all its workers up front
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; only pools need it
 

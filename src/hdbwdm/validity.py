@@ -11,7 +11,6 @@ on high-dimensional contaminated data.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -19,9 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import (
+    _N_INIT,
     ClusterCenters,
     Partition,
-    _shared_seedings,
+    _fit_best,
+    _seedings,
     cluster_centers,
     kmeans,
     trimmed_kmeans,
@@ -267,6 +268,10 @@ def _score(Xp: np.ndarray, cfg: PipelineConfig, true_labels=None) -> IndexReport
                 f"true_labels cover {true_labels.n} rows but the data has {Xp.shape[0]}"
             )
         part = true_labels
+    return _report(Xp, part, cfg)
+
+
+def _report(Xp: np.ndarray, part: Partition, cfg: PipelineConfig) -> IndexReport:
     return bwdm(
         Xp, part, cfg.center_kind, projection=cfg.projection, p=cfg.p, seed=cfg.seed
     )
@@ -309,11 +314,13 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     The data is scaled once and sent through one projection fitted from
     ``cfg_template``; every K partitions the same projected rows, so the
     scan compares partitions, not projections.  Each clustering restart
-    is seeded once, at the largest K, and every K fits from the leading
-    rows of those seedings.  A K whose fit
-    fails is skipped with a warning; if every K fails a
-    :class:`NumericalError` is raised.  Ties go to the smallest K.
+    is seeded once, at the largest K, and those seedings are passed to
+    every K's fit, which uses their leading K rows.  A K whose fit fails
+    is skipped with a warning; if every K fails a :class:`NumericalError`
+    is raised.  Ties go to the smallest K.
     """
+    if cfg_template.clusterer == "external-labels":
+        raise ValueError("select_k needs a clusterer; clusterer='external-labels' fits no K")
     Xs = _embed(X_raw, cfg_template.scale)
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -326,18 +333,22 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     model = _fit_model(Xs, cfg_template)
     Xp = project(Xs, model)
 
-    if cfg_template.clusterer == "external-labels":
-        sharing = contextlib.nullcontext()
-    else:
-        alpha = cfg_template.alpha if cfg_template.clusterer == "trimmed-kmeans" else 0.0
-        sharing = _shared_seedings(Xp, ks[-1], alpha, _sub_seeds(cfg_template.seed)[1])
+    alpha = cfg_template.alpha if cfg_template.clusterer == "trimmed-kmeans" else 0.0
+    clust_seed = _sub_seeds(cfg_template.seed)[1]
+    try:
+        seedings = list(
+            _seedings(Xp, ks[-1], math.ceil(alpha * Xp.shape[0]), clust_seed, _N_INIT)
+        )
+    except ValueError:  # left to each K's own fit, which reports it as that K's failure
+        seedings = None
     reports: dict[int, IndexReport] = {}
-    with sharing:
-        for k in ks:
-            try:
-                reports[k] = _score(Xp, replace(cfg_template, K=k))
-            except (ValueError, NumericalError) as exc:
-                warnings.warn(f"K={k} skipped: {exc}", stacklevel=2)
+    for k in ks:
+        cfg = replace(cfg_template, K=k)
+        try:
+            part = _fit_best(Xp, k, alpha, clust_seed, cfg.clusterer, seedings=seedings)
+            reports[k] = _report(Xp, part, cfg)
+        except (ValueError, NumericalError) as exc:
+            warnings.warn(f"K={k} skipped: {exc}", stacklevel=2)
     if not reports:
         raise NumericalError(f"no K in {ks[0]}..{ks[-1]} produced a usable fit")
     best_k = max(sorted(reports), key=lambda k: reports[k].bwdm)  # ties keep the smallest K

@@ -20,12 +20,12 @@ from hdbwdm import (
     trimmed_kmeans,
 )
 from hdbwdm.clustering import (
-    _SHARED,
     _RestartFailed,
     _concentration_fit,
+    _fit_best,
     _kmeanspp_init,
     _lowest,
-    _shared_seedings,
+    _seedings,
 )
 from oracles import canonical_labels, enumerate_kmeans, enumerate_trimmed_kmeans
 
@@ -178,7 +178,9 @@ def test_concentration_objective_non_increasing():
         prev = None
         for t in range(1, 101):
             try:
-                labels, retained, obj = _concentration_fit(X, K, trim, centers, max_iter=t)
+                labels, retained, obj = _concentration_fit(
+                    X, K, trim, centers, t, cdist(X, centers, "sqeuclidean")
+                )
             except _RestartFailed:
                 break  # an emptied cluster is a different contract
             if prev is not None:
@@ -268,11 +270,9 @@ def test_seedings_and_first_distances_are_prefixes_of_the_largest_k(p):
     X = _scan_rows(p)
     for alpha in (0.0, 0.1):
         trim = int(np.ceil(alpha * X.shape[0]))
-        with _shared_seedings(X, 8, alpha, seed=7):
-            shared = _SHARED.get()
-        assert _SHARED.get() is None
-        assert len(shared.inits) == 10
-        for r, (init8, dist8) in enumerate(zip(shared.inits, shared.dists)):
+        shared = list(_seedings(X, 8, trim, 7, 10))
+        assert len(shared) == 10
+        for r, (init8, dist8) in enumerate(shared):
             assert np.array_equal(dist8, cdist(X, init8, "sqeuclidean"))
             for K in range(2, 9):
                 init = _kmeanspp_init(X, K, trim, np.random.default_rng([7, r]))
@@ -282,33 +282,21 @@ def test_seedings_and_first_distances_are_prefixes_of_the_largest_k(p):
 
 def test_fits_inside_a_shared_seeding_equal_standalone_fits(kmeanspp_calls):
     X = _scan_rows(150, seed=2)
-
-    def trimmed(K, X=X, seed=3, n_init=10):
-        return trimmed_kmeans(X, K, 0.1, seed=seed, n_init=n_init)
-
-    def plain(K, X=X, seed=3, n_init=10):
-        return kmeans(X, K, seed=seed, n_init=n_init)
-
-    for fit, alpha, other in ((trimmed, 0.1, plain), (plain, 0.0, trimmed)):
-        alone = {K: fit(K) for K in range(2, 7)}
-        mismatched = [
-            (lambda: fit(7), fit(7)),  # beyond the largest K
-            (lambda: fit(4, seed=4), fit(4, seed=4)),
-            (lambda: fit(4, n_init=11), fit(4, n_init=11)),
-            (lambda: fit(4, X=X.copy()), alone[4]),
-            (lambda: other(4), other(4)),  # another trim count
-        ]
+    fits = {
+        "trimmed-kmeans": (0.1, lambda K: trimmed_kmeans(X, K, 0.1, seed=3)),
+        "kmeans": (0.0, lambda K: kmeans(X, K, seed=3)),
+    }
+    for source, (alpha, standalone) in fits.items():
         kmeanspp_calls.clear()
-        with _shared_seedings(X, 6, alpha, seed=3):
-            for K in range(2, 7):
-                assert np.array_equal(fit(K).labels, alone[K].labels)
-            # built once, at the largest K; every K took these seedings
-            assert [K for K, _ in kmeanspp_calls] == [6] * 10
-            # a fit the seedings do not match seeds itself, with the same result
-            for run, expected in mismatched:
-                kmeanspp_calls.clear()
-                assert np.array_equal(run().labels, expected.labels)
-                assert len(kmeanspp_calls) >= 10
+        shared = list(_seedings(X, 6, int(np.ceil(alpha * X.shape[0])), 3, 10))
+        for K in range(2, 7):
+            got = _fit_best(X, K, alpha, 3, source, seedings=shared)
+            expected = standalone(K)
+            assert np.array_equal(got.labels, expected.labels)
+            assert (got.K, got.alpha, got.source) == (expected.K, expected.alpha, expected.source)
+        # seeded once at the largest K, then once per restart by each standalone fit
+        standalone_seeds = [K for K in range(2, 7) for _ in range(10)]
+        assert [K for K, _ in kmeanspp_calls] == [6] * 10 + standalone_seeds
 
 
 def test_cluster_centers_singleton():

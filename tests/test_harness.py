@@ -176,6 +176,42 @@ def test_sweep_worker_count_does_not_change_results():
     assert serial == pooled
 
 
+def test_sweep_pool_has_no_more_workers_than_jobs(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Records the requested pool size and maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(hdbwdm.harness, "_SWEEP", None)  # restored after the in-process initializer
+    cfg = _small_mixture()
+    serial = run_sweep(cfg, [6], ["rp", "pca"], reps=2, alpha=0.1, master_seed=4)
+    pooled = run_sweep(cfg, [6], ["rp", "pca"], reps=2, alpha=0.1, master_seed=4, n_workers=64)
+    assert sizes == [4]  # 1 p x 2 methods x 2 reps
+    assert pooled == serial
+    run_sweep(cfg, [6], ["rp"], reps=2, alpha=0.1, master_seed=4, n_workers=2)
+    assert sizes == [4, 2]
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="n_workers"):
+            run_sweep(cfg, [6], ["rp"], reps=2, alpha=0.1, master_seed=4, n_workers=bad)
+    assert sizes == [4, 2]
+
+
 def test_sweep_identical_seeds_give_zero_sd():
     from hdbwdm.harness import _sweep_job
 

@@ -403,6 +403,18 @@ def test_select_k_seeding_failure_is_each_k_failure():
     assert skipped == ["K=2 skipped", "K=3 skipped", "K=4 skipped"]
 
 
+def test_select_k_refuses_external_labels_before_any_work():
+    # a configuration error, not a numerical failure of every K; it is
+    # raised before scaling, which would reject the non-finite entry
+    X = np.random.default_rng(0).normal(size=(60, 8))
+    X[0, 0] = np.nan
+    cfg = PipelineConfig(K=2, p=4, clusterer="external-labels")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="external-labels"):
+            select_k(X, range(2, 5), cfg)
+
+
 def test_select_k_scales_and_projects_once(monkeypatch):
     import hdbwdm.validity as validity
 
