@@ -118,7 +118,7 @@ def _lowest(values: np.ndarray, m: int) -> np.ndarray:
     return keep
 
 
-def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Generator):
     """k-means++ seeding: D^2-weighted draws after a uniform first center.
 
     Under trimming the proposal weights of the ``trim_count`` largest D^2
@@ -126,13 +126,19 @@ def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Genera
     all mass on gross outliers, so without this the seeding would place
     centers on exactly the points the fit is supposed to discard.  With
     ``trim_count = 0`` this is standard k-means++.
+
+    Returns ``(centers, dist)``: each center's ``cdist`` column is computed
+    once, for the draws' D^2 and as ``dist``, bitwise ``cdist(X, centers, "sqeuclidean")``.
     """
+    from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
+
     n = X.shape[0]
     centers = np.empty((K, X.shape[1]))
+    dist = np.empty((n, K))
     centers[0] = X[int(rng.integers(n))]
-    d2 = np.full(n, np.inf)
     for k in range(1, K):
-        d2 = np.minimum(d2, ((X - centers[k - 1]) ** 2).sum(axis=1))
+        dist[:, k - 1] = cdist(X, centers[k - 1 : k], "sqeuclidean")[:, 0]
+        d2 = dist[:, :k].min(axis=1)  # squared distance to the nearest chosen center
         w = np.where(_lowest(d2, n - trim_count), d2, 0.0) if trim_count else d2
         total = w.sum()
         if total > 0.0:
@@ -140,7 +146,8 @@ def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Genera
         else:  # all candidate points coincide with chosen centers
             idx = int(rng.integers(n))
         centers[k] = X[idx]
-    return centers
+    dist[:, K - 1] = cdist(X, centers[K - 1 :], "sqeuclidean")[:, 0]
+    return centers, dist
 
 
 def _seedings(X: np.ndarray, K: int, trim_count: int, seed: int, n_init: int):
@@ -151,11 +158,8 @@ def _seedings(X: np.ndarray, K: int, trim_count: int, seed: int, n_init: int):
     ``K`` takes the leading K rows and columns, which are bitwise what
     seeding at that K computes.
     """
-    from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
-
     for r in range(n_init):
-        init = _kmeanspp_init(X, K, trim_count, np.random.default_rng([seed, r]))
-        yield init, cdist(X, init, "sqeuclidean")
+        yield _kmeanspp_init(X, K, trim_count, np.random.default_rng([seed, r]))
 
 
 def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2):
@@ -167,22 +171,13 @@ def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2):
 
     n = X.shape[0]
     centers = centers.copy()
-    labels_prev = None
-    mask_prev = None
-    labels = None
-    retained = None
-    obj = np.inf
     for it in range(max_iter):
         d2 = first_d2 if it == 0 else cdist(X, centers, "sqeuclidean")
         labels = d2.argmin(axis=1)
         dmin = d2[np.arange(n), labels]
         retained = _lowest(dmin, n - trim_count) if trim_count else np.ones(n, dtype=bool)
         obj = float(dmin[retained].sum())
-        if (
-            labels_prev is not None
-            and np.array_equal(labels, labels_prev)
-            and np.array_equal(retained, mask_prev)
-        ):
+        if it and np.array_equal(labels, labels_prev) and np.array_equal(retained, mask_prev):
             break
         for k in range(K):
             members = retained & (labels == k)
@@ -225,6 +220,8 @@ def _fit_best(X, K, alpha, seed, source, max_iter=100, n_init=_N_INIT, seedings=
         )
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     if seedings is None:
         seedings = _seedings(X, K, trim_count, seed, n_init)

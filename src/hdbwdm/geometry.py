@@ -23,6 +23,8 @@ __all__ = [
     "robust_scale_apply",
 ]
 
+_MEDOID_ROWS = 256  # rows of medoid distances summed at once: memory O(256 m), not O(m^2)
+
 
 def _as_points(points, name: str = "points") -> np.ndarray:
     """Coerce to a float (m, dim) matrix; 1-D input is read as m scalar points."""
@@ -149,7 +151,8 @@ def medoid(points) -> tuple[int, np.ndarray]:
     from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
 
     X = _as_points(points)
-    sums = cdist(X, X).sum(axis=1)
+    B = _MEDOID_ROWS
+    sums = np.concatenate([cdist(X[a : a + B], X).sum(axis=1) for a in range(0, len(X), B)])
     idx = int(np.argmin(sums))  # argmin takes the first minimum: lowest index
     return idx, X[idx]
 

@@ -96,6 +96,14 @@ def test_kmeans_k_exceeds_n():
         kmeans(np.zeros((3, 2)) + np.arange(3)[:, None], K=4)
 
 
+@pytest.mark.parametrize("fit", [kmeans, lambda X, K, **kw: trimmed_kmeans(X, K, 0.1, **kw)])
+def test_max_iter_below_one_is_refused(fit):
+    X = np.random.default_rng(0).normal(size=(20, 2))
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+            fit(X, 2, max_iter=max_iter)
+
+
 def test_kmeans_survives_duplicate_heavy_input():
     # duplicates force empty-cluster reseeds along the way; four distinct
     # values exist so a full 4-cluster fit is reachable
@@ -172,7 +180,7 @@ def test_concentration_objective_non_increasing():
         X = rng.normal(size=(n, 2))
         K = int(rng.integers(2, 4))
         trim = int(rng.integers(0, n // 5))
-        centers = _kmeanspp_init(X, K, trim, rng)
+        centers, _ = _kmeanspp_init(X, K, trim, rng)
         # the objective after t steps is what a fit capped at max_iter=t returns;
         # stop once two caps agree on labels and retained set (the fixpoint)
         prev = None
@@ -218,7 +226,7 @@ def test_kmeanspp_ignores_planted_outliers_in_seeding():
     # weight, so a gross outlier can never become a seed
     X = np.vstack([np.random.default_rng(5).normal(size=(20, 2)), [[1e6, 1e6]]])
     for seed in range(20):
-        centers = _kmeanspp_init(X, 2, 1, np.random.default_rng(seed))
+        centers, _ = _kmeanspp_init(X, 2, 1, np.random.default_rng(seed))
         assert not np.any(np.all(centers == [1e6, 1e6], axis=1))
 
 
@@ -240,27 +248,39 @@ def _reference_kmeanspp_init(X, K, trim_count, rng):
     return centers
 
 
-def _scan_rows(p, seed=0):
+def _scan_rows(p, seed=0, cfg=None):
     """Scaled, randomly projected rows of a contaminated mixture, as a K scan sees them."""
-    X = generate(MixtureConfig(n_inliers=200, d=400, K_true=4, seed=seed)).X
+    X = generate(cfg or MixtureConfig(n_inliers=200, d=400, K_true=4, seed=seed)).X
     Xs = robust_scale_apply(X, robust_scale_fit(X))
     return project(Xs, fit_random_projection(Xs.shape[1], p, seed))
 
 
 def test_kmeanspp_matches_the_reference_loop():
-    # the second matrix has 3 distinct rows, so large K reaches the zero-weight draw
+    # the seeding's D^2 comes from cdist columns, the reference's from numpy
+    # row sums; their last bits differ, and no draw may change.  The
+    # benchmark mixtures (550 rows, trim 55 = ceil(0.1 * 550)) come at the
+    # widths the sweep and the K scan project to.  The duplicates matrix has
+    # 3 distinct rows, so large K reaches the zero-weight draw.
     duplicates = np.repeat(np.random.default_rng(1).normal(size=(3, 4)), 12, axis=0)
-    for X in (_scan_rows(150), duplicates):
-        for trim in (0, 4):
+    inputs = [(_scan_rows(150), (0, 4)), (duplicates, (0, 4))]
+    inputs += [
+        (_scan_rows(p, s, MixtureConfig(seed=s)), (0, 55))
+        for s in range(6)
+        for p in (20, 150, 300, 400)
+    ]
+    for X, trims in inputs:
+        for trim in trims:
             for K in range(2, 9):
                 for seed in range(5):
                     rng = np.random.default_rng([seed, K])
                     ref_rng = np.random.default_rng([seed, K])
+                    centers, dist = _kmeanspp_init(X, K, trim, rng)
                     assert np.array_equal(
-                        _kmeanspp_init(X, K, trim, rng),
+                        centers,
                         _reference_kmeanspp_init(X, K, trim, ref_rng),
                     )
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
+                    assert np.array_equal(dist, cdist(X, centers, "sqeuclidean"))
 
 
 @pytest.mark.parametrize("p", [150, 300, 400])
@@ -275,7 +295,7 @@ def test_seedings_and_first_distances_are_prefixes_of_the_largest_k(p):
         for r, (init8, dist8) in enumerate(shared):
             assert np.array_equal(dist8, cdist(X, init8, "sqeuclidean"))
             for K in range(2, 9):
-                init = _kmeanspp_init(X, K, trim, np.random.default_rng([7, r]))
+                init, _ = _kmeanspp_init(X, K, trim, np.random.default_rng([7, r]))
                 assert np.array_equal(init, init8[:K])
                 assert np.array_equal(cdist(X, init, "sqeuclidean"), dist8[:, :K])
 

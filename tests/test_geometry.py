@@ -142,6 +142,30 @@ def test_medoid_matches_exhaustive_oracle():
             assert idx == oidx
 
 
+def test_medoid_row_blocks_are_bitwise_full_row_sums():
+    from scipy.spatial.distance import cdist
+
+    from hdbwdm.geometry import _MEDOID_ROWS
+
+    rng = np.random.default_rng(3)
+    for m in (_MEDOID_ROWS - 1, _MEDOID_ROWS, _MEDOID_ROWS + 1):
+        X = rng.normal(size=(m, 20))
+        # the origin, the center of the cloud, is the medoid: first in the
+        # last row alone, then tied with the first row (in different
+        # blocks at m = B + 1)
+        X[-1] = 0.0
+        assert int(np.argmin(cdist(X, X).sum(axis=1))) == m - 1
+        assert medoid(X)[0] == m - 1
+        X[0] = 0.0
+        full = cdist(X, X).sum(axis=1)
+        blocks = np.concatenate(
+            [cdist(X[a : a + _MEDOID_ROWS], X).sum(axis=1) for a in range(0, m, _MEDOID_ROWS)]
+        )
+        assert np.array_equal(blocks, full)
+        assert full[0] == full[-1] == full.min()
+        assert medoid(X)[0] == 0
+
+
 def test_medoid_empty_input():
     with pytest.raises(ValueError):
         medoid(np.empty((0, 3)))
