@@ -130,7 +130,6 @@ def _cmd_hdbwdm(args) -> int:
             alpha=args.alpha,
             projection=args.method,
             center_kind=_CENTER_NAMES[args.center],
-            clusterer="trimmed-kmeans",
             seed=args.seed,
             scale=not args.no_scale,
         )
@@ -217,7 +216,6 @@ def _cmd_selectk(args) -> int:
             alpha=args.alpha,
             projection=args.method,
             center_kind=_CENTER_NAMES[args.center],
-            clusterer="trimmed-kmeans",
             seed=args.seed,
             scale=not args.no_scale,
         )

@@ -19,7 +19,7 @@ from .datagen import MixtureConfig, generate, true_partition
 from .errors import NumericalError
 from .projection import fit_pca, fit_random_projection, project
 from .validity import IndexReport, PipelineConfig, bwdm, hd_bwdm, select_k
-from .validity import _embed, _fit_model, _score
+from .validity import _check_truth, _embed, _fit_model, _score
 
 __all__ = [
     "ReplicationStats",
@@ -178,7 +178,6 @@ def _sweep_job(job, sweep=None):
         alpha=alpha,
         projection=method,
         center_kind="medoid",
-        clusterer="trimmed-kmeans",
         seed=derive_seed(rep_seed, _TAG_REPLICATION),
     )
     try:
@@ -239,6 +238,9 @@ def run_sweep(
     for m in methods:
         if m not in _METHOD_CODES:
             raise ValueError(f"unknown method {m!r}, expected one of {sorted(_METHOD_CODES)}")
+    for name, values in (("p_values", p_values), ("methods", methods)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat, got {values}")
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
     if n_workers < 1:
@@ -261,33 +263,30 @@ def run_sweep(
     else:
         results = [_sweep_job(job, sweep) for job in jobs]
 
-    by_cell: dict[tuple[int, str], list] = {(p, m): [] for p in p_values for m in methods}
-    for p, method, rep, rep_seed, value, err in results:
-        by_cell[(p, method)].append((rep, rep_seed, value, err))
-
+    # results come back in job order, so each cell is one run of reps rows, reps ascending
     cells = []
-    for p in p_values:
-        for method in methods:
-            rows = sorted(by_cell[(p, method)])
-            ok = [RepResult(rep=r, seed=s, value=v) for r, s, v, e in rows if e is None]
-            failed = [(r, e) for r, s, v, e in rows if e is not None]
-            if len(failed) > 0.2 * reps:
-                raise NumericalError(
-                    f"cell (p={p}, method={method}) failed {len(failed)}/{reps} replications; "
-                    f"first failure: rep {failed[0][0]}: {failed[0][1]}"
-                )
-            stats = replication_stats([r.value for r in ok])
-            cells.append(
-                SweepCell(
-                    p=p,
-                    method=method,
-                    reps=len(ok),
-                    mean_bwdm=stats.mean,
-                    sd_bwdm=stats.sd,
-                    cv=stats.cv,
-                    per_rep=tuple(ok),
-                )
+    for start in range(0, len(jobs), reps):
+        p, method = jobs[start][:2]
+        rows = results[start:start + reps]
+        ok = [RepResult(rep=r, seed=s, value=v) for _, _, r, s, v, e in rows if e is None]
+        failed = [(r, e) for _, _, r, _, _, e in rows if e is not None]
+        if len(failed) > 0.2 * reps:
+            raise NumericalError(
+                f"cell (p={p}, method={method}) failed {len(failed)}/{reps} replications; "
+                f"first failure: rep {failed[0][0]}: {failed[0][1]}"
             )
+        stats = replication_stats([r.value for r in ok])
+        cells.append(
+            SweepCell(
+                p=p,
+                method=method,
+                reps=len(ok),
+                mean_bwdm=stats.mean,
+                sd_bwdm=stats.sd,
+                cv=stats.cv,
+                per_rep=tuple(ok),
+            )
+        )
     return cells
 
 
@@ -310,13 +309,14 @@ def run_select_k(
 
     ``truth`` (for example :func:`true_partition` of a generated dataset,
     outliers marked TRIMMED) is scored in the same embedding the scan
-    used; it is never shown to the clusterer.
+    used; it is never shown to the K scan's fits.  A ``truth`` of the
+    wrong length is refused before the scan starts.
     """
     # scale once here so the truth score reuses the scan's scaled rows
     Xs = _embed(X, cfg_template.scale)
-    result = select_k(Xs, k_range, replace(cfg_template, scale=False))
-    true_report = None
     if truth is not None:
-        cfg_true = replace(cfg_template, clusterer="external-labels", scale=False)
-        true_report = hd_bwdm(Xs, cfg_true, truth, result.model)
+        _check_truth(truth, Xs.shape[0])
+    cfg = replace(cfg_template, scale=False)
+    result = select_k(Xs, k_range, cfg)
+    true_report = None if truth is None else hd_bwdm(Xs, cfg, truth, result.model)
     return SelectKReport(K_star=result.K_star, reports=result.reports, true_report=true_report)

@@ -5,8 +5,8 @@ pairs; AWDM is the average distance from retained observations to their
 own cluster center, with ``retained_count - K`` in the denominator.
 BWDM is their ratio: larger means tighter clusters that sit farther
 apart.  ``hd_bwdm`` evaluates the index after robust scaling, dimension
-reduction and (optionally) trimmed clustering, which is the intended use
-on high-dimensional contaminated data.
+reduction and trimmed clustering, which is the intended use on
+high-dimensional contaminated data.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .clustering import (
     _fit_best,
     _seedings,
     cluster_centers,
-    kmeans,
     trimmed_kmeans,
 )
 from .errors import NumericalError
@@ -44,7 +43,6 @@ __all__ = [
 
 _PROJECTIONS = ("rp", "pca")
 _CENTER_KINDS = ("medoid", "spatial-median")
-_CLUSTERERS = ("trimmed-kmeans", "kmeans", "external-labels")
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,6 @@ class PipelineConfig:
     alpha: float = 0.1
     projection: str = "rp"
     center_kind: str = "medoid"
-    clusterer: str = "trimmed-kmeans"
     seed: int = 0
     scale: bool = True
 
@@ -219,8 +216,6 @@ class PipelineConfig:
             raise ValueError(f"projection must be one of {_PROJECTIONS}, got {self.projection!r}")
         if self.center_kind not in _CENTER_KINDS:
             raise ValueError(f"center_kind must be one of {_CENTER_KINDS}, got {self.center_kind!r}")
-        if self.clusterer not in _CLUSTERERS:
-            raise ValueError(f"clusterer must be one of {_CLUSTERERS}, got {self.clusterer!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -253,20 +248,17 @@ def _fit_model(Xs: np.ndarray, cfg: PipelineConfig, model=None) -> ProjectionMod
     return model
 
 
+def _check_truth(true_labels: Partition, n: int) -> None:
+    if true_labels.n != n:
+        raise ValueError(f"true_labels cover {true_labels.n} rows but the data has {n}")
+
+
 def _score(Xp: np.ndarray, cfg: PipelineConfig, true_labels=None) -> IndexReport:
-    """Pipeline stage 3: partition the projected rows, then score the partition."""
-    clust_seed = _sub_seeds(cfg.seed)[1]
-    if cfg.clusterer == "trimmed-kmeans":
-        part = trimmed_kmeans(Xp, cfg.K, cfg.alpha, seed=clust_seed)
-    elif cfg.clusterer == "kmeans":
-        part = kmeans(Xp, cfg.K, seed=clust_seed)
+    """Pipeline stage 3: score ``true_labels``, else the trimmed k-means fit at ``cfg.alpha``."""
+    if true_labels is None:
+        part = trimmed_kmeans(Xp, cfg.K, cfg.alpha, seed=_sub_seeds(cfg.seed)[1])
     else:
-        if true_labels is None:
-            raise ValueError("clusterer='external-labels' requires true_labels")
-        if true_labels.n != Xp.shape[0]:
-            raise ValueError(
-                f"true_labels cover {true_labels.n} rows but the data has {Xp.shape[0]}"
-            )
+        _check_truth(true_labels, Xp.shape[0])
         part = true_labels
     return _report(Xp, part, cfg)
 
@@ -287,10 +279,11 @@ def hd_bwdm(
 
     Pipeline: (1) optional median/MAD scaling, (2) dimension reduction to
     ``cfg.p`` via a seeded Gaussian random projection or PCA, (3) a
-    partition from trimmed k-means, plain k-means, or caller-supplied
-    labels (``cfg.clusterer="external-labels"``, with any excluded rows
-    already marked TRIMMED), (4) the index with ``cfg.center_kind``
-    centers, everything in the projected space.
+    partition: ``true_labels`` when given (any excluded rows already
+    marked TRIMMED; they fix K and the trimmed rows, so ``cfg.K`` and
+    ``cfg.alpha`` are unused), else trimmed k-means at ``cfg.alpha``
+    (``alpha = 0`` is plain k-means), (4) the index with
+    ``cfg.center_kind`` centers, everything in the projected space.
 
     ``projection_model`` lets several calls share one fitted embedding;
     it must match ``cfg.projection`` and ``cfg.p``.
@@ -319,8 +312,6 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     is skipped with a warning; if every K fails a :class:`NumericalError`
     is raised.  Ties go to the smallest K.
     """
-    if cfg_template.clusterer == "external-labels":
-        raise ValueError("select_k needs a clusterer; clusterer='external-labels' fits no K")
     Xs = _embed(X_raw, cfg_template.scale)
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -333,11 +324,10 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     model = _fit_model(Xs, cfg_template)
     Xp = project(Xs, model)
 
-    alpha = cfg_template.alpha if cfg_template.clusterer == "trimmed-kmeans" else 0.0
     clust_seed = _sub_seeds(cfg_template.seed)[1]
     try:
         seedings = list(
-            _seedings(Xp, ks[-1], math.ceil(alpha * Xp.shape[0]), clust_seed, _N_INIT)
+            _seedings(Xp, ks[-1], math.ceil(cfg_template.alpha * Xp.shape[0]), clust_seed, _N_INIT)
         )
     except ValueError:  # left to each K's own fit, which reports it as that K's failure
         seedings = None
@@ -345,7 +335,7 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     for k in ks:
         cfg = replace(cfg_template, K=k)
         try:
-            part = _fit_best(Xp, k, alpha, clust_seed, cfg.clusterer, seedings=seedings)
+            part = _fit_best(Xp, k, cfg.alpha, clust_seed, "trimmed-kmeans", seedings=seedings)
             reports[k] = _report(Xp, part, cfg)
         except (ValueError, NumericalError) as exc:
             warnings.warn(f"K={k} skipped: {exc}", stacklevel=2)

@@ -218,6 +218,10 @@ def test_sweep_usage_and_numerical_exits(tmp_path):
         "sweep", "--p-list", "", "--methods", "rp", "--reps", "2",
         "--out", str(tmp_path),
     ]) == 1
+    assert main([
+        "sweep", "--p-list", "4,4", "--methods", "rp", "--reps", "2",
+        "--out", str(tmp_path),
+    ]) == 2
     # coincident-blob construction whose trim step empties a cluster
     assert main([
         "sweep", "--n-inliers", "6", "--d", "12", "--k-true", "2",

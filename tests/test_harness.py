@@ -160,6 +160,11 @@ def test_sweep_validation():
         run_sweep(cfg, [6], [], reps=2, alpha=0.1, master_seed=0)
     with pytest.raises(ValueError, match="unknown method"):
         run_sweep(cfg, [6], ["umap"], reps=2, alpha=0.1, master_seed=0)
+    # a repeat would fold two cells' jobs into one cell with doubled reps
+    with pytest.raises(ValueError, match=r"p_values must not repeat, got \[4, 4\]"):
+        run_sweep(cfg, [4, 4], ["rp"], reps=2, alpha=0.1, master_seed=0)
+    with pytest.raises(ValueError, match=r"methods must not repeat, got \['rp', 'rp'\]"):
+        run_sweep(cfg, [4], ["rp", "rp"], reps=2, alpha=0.1, master_seed=0)
 
 
 def test_sweep_cells_do_not_depend_on_the_rest_of_the_grid():
@@ -260,7 +265,7 @@ def test_run_select_k_scores_truth_in_the_scan_embedding():
     assert report.true_report.n_used == 40  # contamination rows pre-trimmed
 
 
-def test_run_select_k_on_a_plain_matrix():
+def test_run_select_k_on_a_plain_matrix(kmeanspp_calls):
     X = generate(
         MixtureConfig(n_inliers=30, d=12, K_true=2, center_spacing=40.0,
                       outlier_fraction=0.0, seed=1)
@@ -269,9 +274,11 @@ def test_run_select_k_on_a_plain_matrix():
     report = run_select_k(X, [2, 3], template)
     assert report.true_report is None
     assert set(report.reports) == {2, 3}
+    kmeanspp_calls.clear()
     with pytest.raises(ValueError, match="true_labels cover 10 rows but the data has 30"):
         run_select_k(X, [2, 3], template,
                      truth=Partition(labels=[0, 1] * 5, K=2, alpha=0.0, source="external"))
+    assert kmeanspp_calls == []  # refused before the scan seeds anything
 
 
 def _independent_rep_value(cfg, p, method, alpha, master_seed, rep, fresh_data):

@@ -20,13 +20,17 @@ from hdbwdm import (
     awdm,
     bwdm,
     cluster_centers,
+    fit_pca,
+    fit_random_projection,
     hd_bwdm,
+    kmeans,
+    project,
     robust_scale_apply,
     robust_scale_fit,
     select_k,
     trimmed_kmeans,
 )
-from hdbwdm.validity import _pair_distances
+from hdbwdm.validity import _pair_distances, _sub_seeds
 from oracles import direct_bwdm
 
 
@@ -245,7 +249,7 @@ def test_hd_bwdm_full_rank_orthonormal_matches_plain_bwdm():
     rng = np.random.default_rng(7)
     X = np.vstack([rng.normal(size=(20, 4)), rng.normal(size=(20, 4)) + 10.0])
     cfg = PipelineConfig(K=2, p=4, alpha=0.0, projection="rp",
-                         center_kind="medoid", clusterer="kmeans", seed=0)
+                         center_kind="medoid", seed=0)
     rep = hd_bwdm(X, cfg, projection_model=_identity_like_model(4))
     scaled = robust_scale_apply(X, robust_scale_fit(X))
     part = Partition(labels=np.repeat([0, 1], 20), K=2, alpha=0.0, source="external")
@@ -255,7 +259,7 @@ def test_hd_bwdm_full_rank_orthonormal_matches_plain_bwdm():
 
 def test_hd_bwdm_identity_reduction_to_toy_value():
     cfg = PipelineConfig(K=2, p=1, alpha=0.0, projection="rp",
-                         center_kind="spatial-median", clusterer="kmeans",
+                         center_kind="spatial-median",
                          seed=0, scale=False)
     model = ProjectionModel(
         kind="rp", matrix=np.eye(1), centers=np.zeros(1), seed=0,
@@ -276,23 +280,31 @@ def test_hd_bwdm_true_labels_trim_outliers():
         labels=np.concatenate([np.zeros(15, int), np.ones(15, int), np.full(3, TRIMMED)]),
         K=2, alpha=0.0, source="true-labels",
     )
-    cfg = PipelineConfig(K=2, p=4, alpha=0.0, projection="rp",
-                         center_kind="medoid", clusterer="external-labels", seed=3)
-    rep = hd_bwdm(X, cfg, true_labels=truth)
+    # the labels fix K and the trimmed rows: cfg.K and cfg.alpha go unused
+    rep = hd_bwdm(X, PipelineConfig(K=3, p=4, seed=3), true_labels=truth)
     assert rep.n_used == 30  # outliers excluded from the index
+    assert (rep.K, rep.alpha) == (2, 0.0)
 
 
-def test_hd_bwdm_external_labels_require_truth():
-    cfg = PipelineConfig(K=2, p=2, alpha=0.0, projection="rp",
-                         center_kind="medoid", clusterer="external-labels", seed=0)
-    with pytest.raises(ValueError):
-        hd_bwdm(np.random.default_rng(0).normal(size=(10, 4)), cfg)
+@pytest.mark.parametrize("projection", ["rp", "pca"])
+def test_hd_bwdm_at_alpha_zero_is_plain_kmeans(projection):
+    # trimmed k-means at alpha = 0 runs Lloyd's k-means on the same restarts
+    X = _three_blob_2d(3) @ np.random.default_rng(0).normal(size=(2, 12))
+    cfg = PipelineConfig(K=3, p=5, alpha=0.0, projection=projection, seed=4)
+    proj_seed, clust_seed = _sub_seeds(4)
+    Xs = robust_scale_apply(X, robust_scale_fit(X))
+    model = fit_random_projection(12, 5, proj_seed) if projection == "rp" else fit_pca(Xs, 5)
+    Xp = project(Xs, model)
+    expect = bwdm(Xp, kmeans(Xp, 3, seed=clust_seed), "medoid",
+                  projection=projection, p=5, seed=4)
+    report = hd_bwdm(X, cfg)
+    assert report == expect and repr(report) == repr(expect)
 
 
 def test_hd_bwdm_model_mismatch():
     rng = np.random.default_rng(9)
     cfg = PipelineConfig(K=2, p=3, alpha=0.0, projection="rp",
-                         center_kind="medoid", clusterer="kmeans", seed=0)
+                         center_kind="medoid", seed=0)
     wrong = _identity_like_model(4)  # p=4 but cfg wants 3
     with pytest.raises(ValueError):
         hd_bwdm(rng.normal(size=(12, 4)), cfg, projection_model=wrong)
@@ -305,8 +317,6 @@ def test_pipeline_config_validation():
         PipelineConfig(K=2, p=5, alpha=0.6)
     with pytest.raises(ValueError):
         PipelineConfig(K=2, p=5, projection="umap")
-    with pytest.raises(ValueError):
-        PipelineConfig(K=2, p=5, clusterer="dbscan")
 
 
 def _three_blob_2d(seed):
@@ -320,7 +330,7 @@ def _three_blob_2d(seed):
 def test_select_k_single_candidate():
     X = _three_blob_2d(0)
     cfg = PipelineConfig(K=2, p=2, alpha=0.0, projection="rp",
-                         center_kind="spatial-median", clusterer="kmeans",
+                         center_kind="spatial-median",
                          seed=0, scale=False)
     model = _identity_like_model(2)
     res = select_k(X, [2], cfg)
@@ -331,7 +341,7 @@ def test_select_k_returns_argmax_with_low_tie():
     # the selection contract: argmax of bwdm over the scanned range, ties
     # to the smallest K; which K wins is a property of the index itself
     cfg = PipelineConfig(K=2, p=2, alpha=0.0, projection="rp",
-                         center_kind="spatial-median", clusterer="kmeans",
+                         center_kind="spatial-median",
                          seed=0, scale=False)
     for seed in range(5):
         res = select_k(_three_blob_2d(seed), range(2, 7), cfg)
@@ -341,7 +351,7 @@ def test_select_k_returns_argmax_with_low_tie():
 
 def test_select_k_range_validation():
     X = _three_blob_2d(1)
-    cfg = PipelineConfig(K=2, p=2, alpha=0.0, clusterer="kmeans", scale=False)
+    cfg = PipelineConfig(K=2, p=2, alpha=0.0, scale=False)
     with pytest.raises(ValueError):
         select_k(X, [1, 2], cfg)
     with pytest.raises(ValueError):
@@ -355,7 +365,7 @@ def test_select_k_skips_failing_k_with_warning():
     # empties a cluster in every restart and must be skipped
     X = np.repeat([[0.0, 0.0], [9.0, 9.0]], 5, axis=0)
     cfg = PipelineConfig(K=2, p=2, alpha=0.2, projection="rp",
-                         center_kind="medoid", clusterer="trimmed-kmeans",
+                         center_kind="medoid",
                          seed=0, scale=False)
     model = _identity_like_model(2, seed=1)
     with pytest.warns(UserWarning, match="K=3 skipped"):
@@ -366,22 +376,21 @@ def test_select_k_skips_failing_k_with_warning():
 
 def test_select_k_reports_equal_independent_hd_bwdm_calls():
     X = _three_blob_2d(3) @ np.random.default_rng(0).normal(size=(2, 12))
-    for clusterer, projection in product(("trimmed-kmeans", "kmeans"), ("rp", "pca")):
-        cfg = PipelineConfig(K=2, p=5, alpha=0.1, projection=projection,
-                             clusterer=clusterer, seed=4)
+    for alpha, projection in product((0.1, 0.0), ("rp", "pca")):
+        cfg = PipelineConfig(K=2, p=5, alpha=alpha, projection=projection, seed=4)
         res = select_k(X, range(2, 6), cfg)
         for k, report in res.reports.items():
             alone = hd_bwdm(X, replace(cfg, K=k), projection_model=res.model)
             assert report == alone and repr(report) == repr(alone)
 
 
-@pytest.mark.parametrize("clusterer", ["trimmed-kmeans", "kmeans"])
-def test_select_k_seeds_each_restart_once(kmeanspp_calls, clusterer):
+@pytest.mark.parametrize("alpha", [0.1, 0.0], ids=["trimmed-kmeans", "kmeans"])
+def test_select_k_seeds_each_restart_once(kmeanspp_calls, alpha):
     X = _three_blob_2d(3) @ np.random.default_rng(0).normal(size=(2, 12))
-    cfg = PipelineConfig(K=2, p=5, alpha=0.1, clusterer=clusterer, seed=4)
+    cfg = PipelineConfig(K=2, p=5, alpha=alpha, seed=4)
     res = select_k(X, [5, 2, 3, 4], cfg)
     assert sorted(res.reports) == [2, 3, 4, 5]
-    trim = math.ceil(0.1 * X.shape[0]) if clusterer == "trimmed-kmeans" else 0
+    trim = math.ceil(alpha * X.shape[0])
     assert kmeanspp_calls == [(5, trim)] * 10  # n_init seedings, not n_init per K
     # the sharing ends with the scan
     kmeanspp_calls.clear()
@@ -401,18 +410,6 @@ def test_select_k_seeding_failure_is_each_k_failure():
                 select_k(X, range(2, 5), cfg)
     skipped = [str(w.message).split(":")[0] for w in caught if w.category is UserWarning]
     assert skipped == ["K=2 skipped", "K=3 skipped", "K=4 skipped"]
-
-
-def test_select_k_refuses_external_labels_before_any_work():
-    # a configuration error, not a numerical failure of every K; it is
-    # raised before scaling, which would reject the non-finite entry
-    X = np.random.default_rng(0).normal(size=(60, 8))
-    X[0, 0] = np.nan
-    cfg = PipelineConfig(K=2, p=4, clusterer="external-labels")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="external-labels"):
-            select_k(X, range(2, 5), cfg)
 
 
 def test_select_k_scales_and_projects_once(monkeypatch):
