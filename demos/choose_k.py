@@ -13,7 +13,7 @@ from hdbwdm import MixtureConfig, PipelineConfig, generate, run_select_k, true_p
 cfg = MixtureConfig(n_inliers=240, d=200, K_true=3, outlier_fraction=0.0, seed=11)
 ds = generate(cfg)
 
-template = PipelineConfig(K=2, p=40, alpha=0.05, seed=4)
+template = PipelineConfig(p=40, alpha=0.05, seed=4)
 scan = run_select_k(ds.X, k_range=range(2, 7), cfg_template=template, truth=true_partition(ds))
 
 print(f"{cfg.n_total} clean rows, d={cfg.d}, true K={cfg.K_true}, p={template.p}\n")

@@ -211,7 +211,6 @@ def _cmd_selectk(args) -> int:
             truth = true_partition(ds)
     try:
         cfg = PipelineConfig(
-            K=2,
             p=args.p,
             alpha=args.alpha,
             projection=args.method,

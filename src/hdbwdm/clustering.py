@@ -282,19 +282,33 @@ def cluster_centers(X, part: Partition, kind: str = "medoid") -> ClusterCenters:
     X = _as_points(X, "X")
     if X.shape[0] != part.n:
         raise ValueError(f"X has {X.shape[0]} rows but the partition labels {part.n}")
+    return _cluster_centers(X, part, kind, {})
+
+
+def _cluster_centers(X: np.ndarray, part: Partition, kind: str, memo: dict) -> ClusterCenters:
+    """``cluster_centers`` on checked input, reusing the centers in ``memo``.
+
+    ``memo`` maps the bytes of a cluster's member indices to its center.
+    A center depends only on its member rows, so one memo may serve every
+    partition of the same ``X`` with the same ``kind``; a K scan passes one
+    for its whole call, since splitting one cluster leaves the others as they were.
+    """
     centers = np.empty((part.K, X.shape[1]))
     counts = np.empty(part.K, dtype=int)
     for k in range(part.K):
-        members = X[part.labels == k]
-        if members.shape[0] == 0:
+        idx = np.flatnonzero(part.labels == k)
+        if idx.size == 0:
             raise ValueError(f"cluster {k} has no retained members")
-        counts[k] = members.shape[0]
-        if kind == "medoid":
-            _, centers[k] = medoid(members)
-        else:
-            # tighter than the user-facing defaults so center jitter stays
-            # well below the index invariance tolerances; the Weiszfeld rate
-            # can sit near 0.97, which needs a few thousand iterations
-            centers[k] = spatial_median(members, tol=1e-12, max_iter=20000)
+        counts[k] = idx.size
+        key = idx.tobytes()
+        if key not in memo:
+            members = X[idx]
+            if kind == "medoid":
+                memo[key] = medoid(members)[1].copy()  # not a view that keeps the cluster alive
+            else:
+                # tighter than the user-facing defaults so center jitter stays
+                # well below the index invariance tolerances; the Weiszfeld rate
+                # can sit near 0.97, which needs a few thousand iterations
+                memo[key] = spatial_median(members, tol=1e-12, max_iter=20000)
+        centers[k] = memo[key]
     return ClusterCenters(centers=centers, kind=kind, member_counts=counts)
-

@@ -23,7 +23,8 @@ __all__ = [
     "robust_scale_apply",
 ]
 
-_MEDOID_ROWS = 256  # rows of medoid distances summed at once: memory O(256 m), not O(m^2)
+_MEDOID_PDIST = 512  # medoid uses pdist below this many rows: O(m^2) memory, under ~3 MB
+_MEDOID_ROWS = 256  # and above it sums cdist in blocks of this many rows: O(256 m)
 
 
 def _as_points(points, name: str = "points") -> np.ndarray:
@@ -147,12 +148,20 @@ def medoid(points) -> tuple[int, np.ndarray]:
 
     Ties are broken toward the lowest index.  Returns ``(index, point)``
     where ``point`` is the actual data row (not a copy with new values).
+
+    Below ``_MEDOID_PDIST`` rows each pair's distance is computed once, by
+    ``pdist``; larger sets sum ``cdist`` in row blocks to bound memory.
+    Both give bitwise the same row sums.
     """
-    from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
+    # loaded on first use: scipy takes ~0.4 s to import
+    from scipy.spatial.distance import cdist, pdist, squareform
 
     X = _as_points(points)
-    B = _MEDOID_ROWS
-    sums = np.concatenate([cdist(X[a : a + B], X).sum(axis=1) for a in range(0, len(X), B)])
+    if len(X) < _MEDOID_PDIST:
+        sums = squareform(pdist(X)).sum(axis=1)
+    else:
+        B = _MEDOID_ROWS
+        sums = np.concatenate([cdist(X[a : a + B], X).sum(axis=1) for a in range(0, len(X), B)])
     idx = int(np.argmin(sums))  # argmin takes the first minimum: lowest index
     return idx, X[idx]
 

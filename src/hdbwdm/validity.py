@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .clustering import (
     _N_INIT,
     ClusterCenters,
     Partition,
+    _cluster_centers,
     _fit_best,
     _seedings,
     cluster_centers,
@@ -168,6 +169,11 @@ def bwdm(
     fields; they do not change the computation.
     """
     cc = cluster_centers(X, part, kind=center_kind)
+    return _index_report(X, part, cc, projection, p, seed)
+
+
+def _index_report(X, part: Partition, cc: ClusterCenters, projection, p, seed) -> IndexReport:
+    """``bwdm``'s index and report from centers already computed."""
     a = abdm(cc)
     w = awdm(X, part, cc)
     if w == 0.0:
@@ -182,7 +188,7 @@ def bwdm(
         p=p,
         alpha=part.alpha,
         projection=projection,
-        center_kind=center_kind,
+        center_kind=cc.kind,
         seed=seed,
         n_used=part.retained_count,
         degenerate=degenerate,
@@ -195,9 +201,12 @@ class PipelineConfig:
 
     ``seed`` feeds two derived streams, one for the random projection and
     one for the clusterer, so a single integer pins the whole run.
+    ``K`` is keyword-only and may be left out where nothing is fitted at a
+    single K: a :func:`select_k` template, or :func:`hd_bwdm` with
+    ``true_labels``.
     """
 
-    K: int
+    K: int | None = field(default=None, kw_only=True)
     p: int
     alpha: float = 0.1
     projection: str = "rp"
@@ -206,7 +215,7 @@ class PipelineConfig:
     scale: bool = True
 
     def __post_init__(self):
-        if self.K < 2:
+        if self.K is not None and self.K < 2:
             raise ValueError(f"K must be >= 2, got {self.K}")
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
@@ -260,13 +269,7 @@ def _score(Xp: np.ndarray, cfg: PipelineConfig, true_labels=None) -> IndexReport
     else:
         _check_truth(true_labels, Xp.shape[0])
         part = true_labels
-    return _report(Xp, part, cfg)
-
-
-def _report(Xp: np.ndarray, part: Partition, cfg: PipelineConfig) -> IndexReport:
-    return bwdm(
-        Xp, part, cfg.center_kind, projection=cfg.projection, p=cfg.p, seed=cfg.seed
-    )
+    return bwdm(Xp, part, cfg.center_kind, projection=cfg.projection, p=cfg.p, seed=cfg.seed)
 
 
 def hd_bwdm(
@@ -281,13 +284,16 @@ def hd_bwdm(
     ``cfg.p`` via a seeded Gaussian random projection or PCA, (3) a
     partition: ``true_labels`` when given (any excluded rows already
     marked TRIMMED; they fix K and the trimmed rows, so ``cfg.K`` and
-    ``cfg.alpha`` are unused), else trimmed k-means at ``cfg.alpha``
-    (``alpha = 0`` is plain k-means), (4) the index with
-    ``cfg.center_kind`` centers, everything in the projected space.
+    ``cfg.alpha`` are unused and ``cfg.K`` may be None), else trimmed
+    k-means with ``cfg.K`` clusters at ``cfg.alpha`` (``alpha = 0`` is
+    plain k-means), (4) the index with ``cfg.center_kind`` centers,
+    everything in the projected space.
 
     ``projection_model`` lets several calls share one fitted embedding;
     it must match ``cfg.projection`` and ``cfg.p``.
     """
+    if true_labels is None and cfg.K is None:
+        raise ValueError("hd_bwdm needs cfg.K to fit a partition, or true_labels to score")
     Xs = _embed(X_raw, cfg.scale)
     return _score(project(Xs, _fit_model(Xs, cfg, projection_model)), cfg, true_labels)
 
@@ -308,9 +314,11 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     ``cfg_template``; every K partitions the same projected rows, so the
     scan compares partitions, not projections.  Each clustering restart
     is seeded once, at the largest K, and those seedings are passed to
-    every K's fit, which uses their leading K rows.  A K whose fit fails
-    is skipped with a warning; if every K fails a :class:`NumericalError`
-    is raised.  Ties go to the smallest K.
+    every K's fit, which uses their leading K rows.  Each cluster's center
+    is computed once per call: a member set that an earlier K already
+    produced reuses its center.  ``cfg_template.K`` is not read and may
+    be left out.  A K whose fit fails is skipped with a warning; if every
+    K fails a :class:`NumericalError` is raised.  Ties go to the smallest K.
     """
     Xs = _embed(X_raw, cfg_template.scale)
     ks = sorted(set(int(k) for k in k_range))
@@ -332,11 +340,15 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     except ValueError:  # left to each K's own fit, which reports it as that K's failure
         seedings = None
     reports: dict[int, IndexReport] = {}
+    memo: dict = {}  # member-index bytes -> center, for this call only
+    alpha, kind = cfg_template.alpha, cfg_template.center_kind
     for k in ks:
-        cfg = replace(cfg_template, K=k)
         try:
-            part = _fit_best(Xp, k, cfg.alpha, clust_seed, "trimmed-kmeans", seedings=seedings)
-            reports[k] = _report(Xp, part, cfg)
+            part = _fit_best(Xp, k, alpha, clust_seed, "trimmed-kmeans", seedings=seedings)
+            centers = _cluster_centers(Xp, part, kind, memo)
+            reports[k] = _index_report(
+                Xp, part, centers, cfg_template.projection, cfg_template.p, cfg_template.seed
+            )
         except (ValueError, NumericalError) as exc:
             warnings.warn(f"K={k} skipped: {exc}", stacklevel=2)
     if not reports:

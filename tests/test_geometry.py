@@ -166,6 +166,32 @@ def test_medoid_row_blocks_are_bitwise_full_row_sums():
         assert medoid(X)[0] == 0
 
 
+@pytest.mark.parametrize("m", [1, 2, 511, 512, 513])
+def test_medoid_pdist_below_the_cap_is_bitwise_the_row_blocks(monkeypatch, m):
+    import scipy.spatial.distance as ssd
+
+    from hdbwdm.geometry import _MEDOID_PDIST, _MEDOID_ROWS
+
+    assert _MEDOID_PDIST == 512
+    X = np.random.default_rng(m).normal(size=(m, 20))
+    # the origin, the center of the cloud, ties between the first and last
+    # rows: both paths must keep the lowest index
+    X[0] = X[-1] = 0.0
+    pair_sums = ssd.squareform(ssd.pdist(X)).sum(axis=1)
+    block_sums = np.concatenate(
+        [ssd.cdist(X[a : a + _MEDOID_ROWS], X).sum(axis=1) for a in range(0, m, _MEDOID_ROWS)]
+    )
+    assert np.array_equal(pair_sums, block_sums)
+    assert int(np.argmin(pair_sums)) == int(np.argmin(block_sums)) == 0
+
+    pdist_calls = []
+    pdist = ssd.pdist
+    monkeypatch.setattr(ssd, "pdist", lambda X: pdist_calls.append(len(X)) or pdist(X))
+    idx, point = medoid(X)
+    assert pdist_calls == ([m] if m < 512 else [])
+    assert idx == 0 and np.array_equal(point, X[0])
+
+
 def test_medoid_empty_input():
     with pytest.raises(ValueError):
         medoid(np.empty((0, 3)))

@@ -319,6 +319,19 @@ def test_pipeline_config_validation():
         PipelineConfig(K=2, p=5, projection="umap")
 
 
+def test_pipeline_config_k_is_needed_only_to_fit():
+    X = _three_blob_2d(3) @ np.random.default_rng(0).normal(size=(2, 12))
+    template = PipelineConfig(p=5, alpha=0.1, seed=4)
+    assert template.K is None
+    res = select_k(X, range(2, 5), template)
+    assert res.reports == select_k(X, range(2, 5), replace(template, K=2)).reports
+    truth = Partition(labels=np.repeat([0, 1, 2], 30), K=3, alpha=0.0, source="true-labels")
+    assert hd_bwdm(X, template, truth) == hd_bwdm(X, replace(template, K=2), truth)
+    with pytest.raises(ValueError) as err:
+        hd_bwdm(X, template)
+    assert "\n" not in str(err.value) and "K" in str(err.value)
+
+
 def _three_blob_2d(seed):
     rng = np.random.default_rng(seed)
     return np.vstack([
@@ -382,6 +395,37 @@ def test_select_k_reports_equal_independent_hd_bwdm_calls():
         for k, report in res.reports.items():
             alone = hd_bwdm(X, replace(cfg, K=k), projection_model=res.model)
             assert report == alone and repr(report) == repr(alone)
+
+
+@pytest.mark.parametrize("kind", ["medoid", "spatial-median"])
+def test_select_k_computes_each_center_once(monkeypatch, kind):
+    import hdbwdm.clustering as clustering
+    import hdbwdm.validity as validity
+
+    name = "medoid" if kind == "medoid" else "spatial_median"
+    center_calls = []
+    center = getattr(clustering, name)
+    monkeypatch.setattr(clustering, name, lambda pts, **kw: center_calls.append(1) or center(pts, **kw))
+    scored = []
+    index_report = validity._index_report
+    monkeypatch.setattr(
+        validity, "_index_report",
+        lambda X, part, cc, *a: scored.append((X, part, cc)) or index_report(X, part, cc, *a),
+    )
+
+    X = _three_blob_2d(3) @ np.random.default_rng(0).normal(size=(2, 12))
+    ks = range(2, 7)
+    res = select_k(X, ks, PipelineConfig(p=5, alpha=0.0, center_kind=kind, seed=4))
+    assert sorted(res.reports) == list(ks) and len(scored) == len(ks)
+    # one center per distinct member set: a cluster an earlier K produced is not recomputed
+    member_sets = {np.flatnonzero(part.labels == k).tobytes() for _, part, _ in scored
+                   for k in range(part.K)}
+    assert len(center_calls) == len(member_sets) < sum(ks)
+    monkeypatch.undo()
+    for X_p, part, cc in scored:
+        fresh = cluster_centers(X_p, part, kind)
+        assert np.array_equal(cc.centers, fresh.centers)
+        assert np.array_equal(cc.member_counts, fresh.member_counts)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.0], ids=["trimmed-kmeans", "kmeans"])
