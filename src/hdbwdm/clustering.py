@@ -3,9 +3,11 @@
 Trimmed k-means alternates concentration steps: assign every point to its
 nearest center, discard the ``ceil(alpha * n)`` points farthest from
 their assigned center, then recompute each center as the mean of its
-retained members.  Iteration stops when both the labels and the trimmed
-set repeat.  With ``alpha = 0`` this is exactly Lloyd's algorithm, and
-``kmeans`` shares the same code path.
+retained members.  Iteration stops when no cluster's retained member set
+changed, and a step recomputes the mean and the distance column of only
+the clusters whose members changed: the others are bitwise what a full
+recompute gives.  With ``alpha = 0`` this is exactly Lloyd's algorithm,
+and ``kmeans`` shares the same code path.
 
 Restarts are seeded individually from ``(seed, restart_index)`` and the
 best restart is chosen by the retained within-cluster sum of squared
@@ -165,22 +167,45 @@ def _seedings(X: np.ndarray, K: int, trim_count: int, seed: int, n_init: int):
 def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2):
     """One restart from ``centers``; returns (labels, retained_mask, objective).
 
-    ``first_d2`` is ``cdist(X, centers, "sqeuclidean")``.
+    ``first_d2`` is ``cdist(X, centers, "sqeuclidean")``; it may be a view
+    shared with other fits, so it is copied before the first write.
+
+    A step recomputes the mean and the distance column of a cluster only
+    when its retained member set changed since the last step, plus, at
+    ``trim_count = 0``, every emptied cluster, whose reseed moves its
+    center on every step.  Every other column is kept: the same rows in
+    the same order give a bitwise-equal mean, and ``cdist`` computes each
+    column on its own, so the kept column is bitwise the fresh one.
+
+    The fit stops when no retained member set changed.  A step whose
+    trimmed rows alone switched nearest center repeats the centers, hence
+    the labels, on the next step, so this returns what a test on labels
+    and retained set together would.
     """
     from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
 
     n = X.shape[0]
     centers = centers.copy()
+    d2 = first_d2.copy()
+    moved = np.arange(K)
     for it in range(max_iter):
-        d2 = first_d2 if it == 0 else cdist(X, centers, "sqeuclidean")
+        if it:
+            d2[:, moved] = cdist(X, centers[moved], "sqeuclidean")
         labels = d2.argmin(axis=1)
         dmin = d2[np.arange(n), labels]
         retained = _lowest(dmin, n - trim_count) if trim_count else np.ones(n, dtype=bool)
         obj = float(dmin[retained].sum())
-        if it and np.array_equal(labels, labels_prev) and np.array_equal(retained, mask_prev):
-            break
-        for k in range(K):
-            members = retained & (labels == k)
+        owner = np.where(retained, labels, TRIMMED)
+        if it:
+            changed = owner != owner_prev
+            if not changed.any():
+                break
+            moved = np.union1d(owner[changed], owner_prev[changed])
+            moved = moved[moved != TRIMMED]
+            if not trim_count:
+                moved = np.union1d(moved, np.flatnonzero(np.bincount(labels, minlength=K) == 0))
+        for k in moved:
+            members = owner == k
             if members.any():
                 centers[k] = X[members].mean(axis=0)
             elif trim_count:
@@ -189,8 +214,7 @@ def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2):
                 # reseed an emptied center at the point farthest from it
                 far = int(((X - centers[k]) ** 2).sum(axis=1).argmax())
                 centers[k] = X[far]
-        labels_prev = labels
-        mask_prev = retained
+        owner_prev = owner
     for k in range(K):
         # a reseed that lands on a duplicate of another center can never win
         # the tie-break, so a cluster may still be empty at the fixpoint

@@ -255,20 +255,24 @@ def _scan_rows(p, seed=0, cfg=None):
     return project(Xs, fit_random_projection(Xs.shape[1], p, seed))
 
 
-def test_kmeanspp_matches_the_reference_loop():
-    # the seeding's D^2 comes from cdist columns, the reference's from numpy
-    # row sums; their last bits differ, and no draw may change.  The
-    # benchmark mixtures (550 rows, trim 55 = ceil(0.1 * 550)) come at the
-    # widths the sweep and the K scan project to.  The duplicates matrix has
-    # 3 distinct rows, so large K reaches the zero-weight draw.
+def _reference_inputs():
+    """``(X, trims)`` pairs: the benchmark mixtures (550 rows, trim 55 =
+    ceil(0.1 * 550)) at the widths the sweep and the K scan project to,
+    then a small mixture and a duplicates matrix with 3 distinct rows."""
     duplicates = np.repeat(np.random.default_rng(1).normal(size=(3, 4)), 12, axis=0)
-    inputs = [(_scan_rows(150), (0, 4)), (duplicates, (0, 4))]
-    inputs += [
+    inputs = [
         (_scan_rows(p, s, MixtureConfig(seed=s)), (0, 55))
         for s in range(6)
         for p in (20, 150, 300, 400)
     ]
-    for X, trims in inputs:
+    return inputs + [(_scan_rows(150), (0, 4)), (duplicates, (0, 4))]
+
+
+def test_kmeanspp_matches_the_reference_loop():
+    # the seeding's D^2 comes from cdist columns, the reference's from numpy
+    # row sums; their last bits differ, and no draw may change.  The
+    # duplicates matrix makes large K reach the zero-weight draw.
+    for X, trims in _reference_inputs():
         for trim in trims:
             for K in range(2, 9):
                 for seed in range(5):
@@ -281,6 +285,122 @@ def test_kmeanspp_matches_the_reference_loop():
                     )
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
                     assert np.array_equal(dist, cdist(X, centers, "sqeuclidean"))
+
+
+def _reference_concentration_fit(X, K, trim_count, centers, max_iter, first_d2, steps=None):
+    """Reference concentration steps: every mean and every distance column
+    recomputed on every step, stopping when labels and retained set repeat.
+
+    ``steps``, when given, gets one entry per step that computed distances:
+    the clusters that step reseeded.
+    """
+    n = X.shape[0]
+    centers = centers.copy()
+    for it in range(max_iter):
+        d2 = first_d2 if it == 0 else cdist(X, centers, "sqeuclidean")
+        labels = d2.argmin(axis=1)
+        dmin = d2[np.arange(n), labels]
+        retained = _lowest(dmin, n - trim_count) if trim_count else np.ones(n, dtype=bool)
+        obj = float(dmin[retained].sum())
+        reseeded = []
+        if steps is not None:
+            steps.append(reseeded)
+        if it and np.array_equal(labels, labels_prev) and np.array_equal(retained, mask_prev):
+            break
+        for k in range(K):
+            members = retained & (labels == k)
+            if members.any():
+                centers[k] = X[members].mean(axis=0)
+            elif trim_count:
+                raise _RestartFailed(f"cluster {k} lost all retained members")
+            else:
+                far = int(((X - centers[k]) ** 2).sum(axis=1).argmax())
+                centers[k] = X[far]
+                reseeded.append(k)
+        labels_prev = labels
+        mask_prev = retained
+    for k in range(K):
+        if not (retained & (labels == k)).any():
+            raise _RestartFailed(f"cluster {k} empty at convergence")
+    return labels, retained, obj
+
+
+def _outcome(fit, *args, **kwargs):
+    """``(labels, retained, obj)`` of a concentration fit, or its ``_RestartFailed`` message."""
+    try:
+        return fit(*args, **kwargs)
+    except _RestartFailed as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        labels, retained, obj = got
+        assert np.array_equal(labels, expected[0])
+        assert np.array_equal(retained, expected[1])
+        assert obj == expected[2]
+
+
+@pytest.fixture
+def cdist_columns(monkeypatch):
+    """Columns of every squared-Euclidean ``cdist`` the package computes while the test runs."""
+    import scipy.spatial.distance as distance
+
+    counted = []
+    original = distance.cdist
+
+    def counting(XA, XB, metric="euclidean", **kwargs):
+        if metric == "sqeuclidean":
+            counted.append(len(XB))
+        return original(XA, XB, metric, **kwargs)
+
+    monkeypatch.setattr(distance, "cdist", counting)
+    return counted
+
+
+def test_concentration_fit_matches_the_reference_loop(cdist_columns):
+    # reusing the columns of clusters whose retained members did not move
+    # must give bitwise the full recompute's labels, retained set and
+    # objective, or the same failure; and it must actually reuse columns
+    full_columns = reused_columns = 0
+    for X, trims in _reference_inputs():
+        for trim in trims:
+            for K in range(2, 9):
+                for seed in range(2):
+                    centers, dist = _kmeanspp_init(X, K, trim, np.random.default_rng([seed, K]))
+                    steps = []
+                    expected = _outcome(
+                        _reference_concentration_fit, X, K, trim, centers, 100, dist, steps
+                    )
+                    cdist_columns.clear()
+                    got = _outcome(_concentration_fit, X, K, trim, centers, 100, dist)
+                    _assert_same_outcome(got, expected)
+                    if X.shape[0] == 550:  # a benchmark mixture
+                        full_columns += K * (len(steps) - 1)
+                        reused_columns += sum(cdist_columns)
+    assert 0 < reused_columns < full_columns
+
+
+def test_emptied_cluster_is_reseeded_on_every_step_at_alpha_zero():
+    # every center starts at 0: clusters 1 and 2 empty at once and reseed at
+    # 8; cluster 2 loses the tie to cluster 1 and stays empty on step 1, so
+    # its member set (empty) does not change, yet it must reseed again, at 0
+    X = np.array([[0.0], [5.0], [7.0], [8.0]])
+    centers = np.zeros((3, 1))
+    steps = []
+    _reference_concentration_fit(X, 3, 0, centers, 100, cdist(X, centers, "sqeuclidean"), steps)
+    assert steps[:2] == [[1, 2], [2]]
+    for max_iter in range(1, 6):
+        d2 = cdist(X, centers, "sqeuclidean")
+        _assert_same_outcome(
+            _outcome(_concentration_fit, X, 3, 0, centers, max_iter, d2),
+            _outcome(_reference_concentration_fit, X, 3, 0, centers, max_iter, d2),
+        )
+    labels, _, obj = _concentration_fit(X, 3, 0, centers, 100, cdist(X, centers, "sqeuclidean"))
+    assert labels.tolist() == [2, 0, 1, 1]
+    assert obj == 0.5
 
 
 @pytest.mark.parametrize("p", [150, 300, 400])
