@@ -5,10 +5,20 @@ squared norms (the Johnson-Lindenstrauss regime).  PCA is computed from
 the SVD of the mean-centred data with a deterministic sign convention.
 ``distortion_profile`` measures how far a given embedding actually is
 from isometry on sampled point pairs.
+
+``project``'s product and ``fit_pca``'s SVD are the pipeline's only BLAS
+calls.  After each, numpy's OpenBLAS worker threads are parked (see
+``_park_blas``) so that they do not busy-wait; the thread count, and so
+every output byte, stays as the BLAS build and its settings make it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +99,10 @@ def fit_pca(X, p: int) -> ProjectionModel:
     Loadings are orthonormal rows in descending explained-variance order.
     Each row's sign is fixed so that its largest-magnitude entry is
     positive.  ``p`` may not exceed the attainable rank ``min(n-1, d)``.
+
+    The bytes follow the BLAS build, its CPU kernel and its thread count,
+    which this function never changes.  When it runs on the process's only
+    Python thread, numpy's OpenBLAS worker threads are parked after the SVD.
     """
     X = _as_points(X, "X")
     n, d = X.shape
@@ -101,6 +115,7 @@ def fit_pca(X, p: int) -> ProjectionModel:
         )
     centers = X.mean(axis=0)
     _, svals, vt = np.linalg.svd(X - centers, full_matrices=False)
+    _park_blas()
     loadings = vt[:p].copy()
     explained = (svals[:p] ** 2) / (n - 1)
     # sign convention: largest-|entry| of each loading made positive
@@ -118,13 +133,54 @@ def fit_pca(X, p: int) -> ProjectionModel:
 
 
 def project(X, model: ProjectionModel) -> np.ndarray:
-    """Apply a fitted projection to an (n, d) matrix, returning (n, p)."""
+    """Apply a fitted projection to an (n, d) matrix, returning (n, p).
+
+    The bytes follow the BLAS build, its CPU kernel and its thread count,
+    which this function never changes.  When it runs on the process's only
+    Python thread, numpy's OpenBLAS worker threads are parked after the
+    product.
+    """
     X = _as_points(X, "X")
     if X.shape[1] != model.d:
         raise ValueError(
             f"dimension mismatch: X has {X.shape[1]} columns, model expects {model.d}"
         )
-    return (X - model.centers) @ model.matrix.T
+    Xp = (X - model.centers) @ model.matrix.T
+    _park_blas()
+    return Xp
+
+
+@functools.cache
+def _blas_shutdown():
+    """numpy's OpenBLAS ``blas_thread_shutdown_``, or None when there is none.
+
+    numpy's wheels load ``libscipy_openblas64_*.so`` from the ``numpy.libs``
+    directory beside the package; ``RTLD_NOLOAD`` takes that loaded copy
+    and never loads another.  Another BLAS build has no such library or
+    symbol.  Cached, so the lookup runs once, on the first BLAS call.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            return ctypes.PyDLL(path, mode=os.RTLD_NOLOAD).blas_thread_shutdown_
+        except (OSError, AttributeError):
+            pass
+    return None
+
+
+def _park_blas() -> None:
+    """Stop OpenBLAS's worker threads, which spin for about 0.1 s after a call.
+
+    OpenBLAS runs the same shutdown before every ``fork``, and its next
+    threaded call restarts the pool at the same thread count, so every split
+    and every output bit stay the same.  Shutting the pool down while another
+    Python thread is inside BLAS can hang both, so the park runs only on the
+    process's only Python thread.  ``PyDLL`` keeps the GIL for the call, so
+    no other thread can start before it returns.
+    """
+    shutdown = _blas_shutdown()
+    if shutdown is not None and threading.active_count() == 1:
+        shutdown()
 
 
 @dataclass(frozen=True)
@@ -143,8 +199,9 @@ class DistortionProfile:
 
 def _decode_pair_index(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Map linear indices over the i<j pairs of range(n) to (i, j)."""
-    # pairs are ordered (0,1),(0,2),...,(0,n-1),(1,2),...; row i starts at
-    # i*n - i*(i+3)/2 ... easier: cumulative row lengths and searchsorted.
+    # pairs are ordered (0,1),(0,2),...,(0,n-1),(1,2),...: row i holds the
+    # n-1-i pairs (i, i+1..n-1), so a row's start is the cumulative length
+    # of the rows before it, and searchsorted finds the row of each index.
     row_len = np.arange(n - 1, 0, -1)
     starts = np.concatenate([[0], np.cumsum(row_len)])
     i = np.searchsorted(starts, m, side="right") - 1

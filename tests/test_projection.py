@@ -1,16 +1,25 @@
-"""Random projection, PCA, distortion measurement."""
+"""Random projection, PCA, distortion measurement, the BLAS park."""
+
+import ctypes
+import glob
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from hdbwdm import (
     DataError,
+    MixtureConfig,
     ProjectionModel,
     distortion_profile,
     fit_pca,
     fit_random_projection,
+    generate,
     project,
 )
+from hdbwdm import projection
 
 
 def test_rp_deterministic_for_seed():
@@ -202,3 +211,128 @@ def test_distortion_decays_with_p():
             eps.append(distortion_profile(X, project(X, model), max_pairs=500, seed=seed).epsilon_hat)
         medians.append(np.median(eps))
     assert all(a > b for a, b in zip(medians, medians[1:]))
+
+
+# The BLAS park: project and fit_pca stop numpy's OpenBLAS worker threads
+# after their BLAS call.  The checks use the benchmark mixture (550 x 500)
+# at p = 300, where OpenBLAS does split the work across threads, and those
+# that need a fresh process run one with the default thread count.
+
+_MIXTURE = """
+import numpy as np
+from hdbwdm import MixtureConfig, fit_pca, fit_random_projection, generate, project
+
+X = generate(MixtureConfig(seed=0)).X
+rp = fit_random_projection(X.shape[1], 300, seed=0)
+"""
+
+_SPIN = _MIXTURE + """
+import ctypes, glob, json, os, time
+
+libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+found = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+threads = ctypes.CDLL(found[0]).scipy_openblas_get_num_threads64_() if found else 0
+
+def spin_after(call):
+    # CPU that threads other than this one use in the 0.2 s after the call
+    out = call()
+    before = time.process_time() - time.thread_time()
+    time.sleep(0.2)
+    return out, time.process_time() - time.thread_time() - before
+
+Xp, rp_spin = spin_after(lambda: project(X, rp))
+pca, pca_spin = spin_after(lambda: fit_pca(X, 300))
+_, svals, vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+lead = np.argmax(np.abs(vt[:300]), axis=1)
+loadings = vt[:300] * np.sign(vt[np.arange(300), lead])[:, None]
+print(json.dumps({
+    "threads": threads,
+    "spin": [rp_spin, pca_spin],
+    "rp_equal": Xp.tobytes() == (X @ rp.matrix.T).tobytes(),
+    "pca_equal": pca.matrix.tobytes() == loadings.tobytes()
+    and pca.centers.tobytes() == X.mean(axis=0).tobytes()
+    and pca.explained_variance.tobytes() == (svals[:300] ** 2 / (X.shape[0] - 1)).tobytes(),
+}))
+"""
+
+
+def _run_python(script, timeout=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=timeout
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_blas_park_saves_the_spin_and_moves_no_byte():
+    result = json.loads(_run_python(_SPIN))
+    if result["threads"] <= 1:
+        pytest.skip("numpy has no bundled OpenBLAS or it runs one thread, so no worker spins")
+    assert result["rp_equal"] and result["pca_equal"]
+    assert max(result["spin"]) < 0.03, result["spin"]
+
+
+_TWO_THREADS = _MIXTURE + """
+import sys, threading
+
+sys.setswitchinterval(1e-4)
+reference = project(X, rp).tobytes()
+start = threading.Barrier(2)
+mismatches = []
+
+def run():
+    start.wait()
+    for _ in range(200):
+        if project(X, rp).tobytes() != reference:
+            mismatches.append(1)
+
+workers = [threading.Thread(target=run) for _ in range(2)]
+for w in workers:
+    w.start()
+for w in workers:
+    w.join()
+print(len(mismatches))
+"""
+
+
+def test_blas_park_waits_while_another_python_thread_runs():
+    # parking the pool while another thread is inside BLAS hangs both
+    assert _run_python(_TWO_THREADS, timeout=60).split() == ["0"]
+
+
+@pytest.fixture
+def blas_lookup_reset():
+    """Forget the cached lookup after the test, so later calls find the real library."""
+    yield
+    projection._blas_shutdown.cache_clear()
+
+
+@pytest.mark.parametrize("missing", ["library", "symbol"])
+def test_blas_park_falls_back_to_nothing(monkeypatch, blas_lookup_reset, missing):
+    X = generate(MixtureConfig(seed=0)).X
+    rp = fit_random_projection(X.shape[1], 300, seed=0)
+    parked = project(X, rp), fit_pca(X, 300)
+    projection._blas_shutdown.cache_clear()
+    if missing == "library":
+        monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    else:
+        monkeypatch.setattr(glob, "glob", lambda pattern: ["libscipy_openblas64_.so"])
+        monkeypatch.setattr(ctypes, "PyDLL", lambda path, mode: object())
+    plain = project(X, rp), fit_pca(X, 300)
+    assert projection._blas_shutdown() is None
+    assert plain[0].tobytes() == parked[0].tobytes()
+    assert plain[1].matrix.tobytes() == parked[1].matrix.tobytes()
+
+
+_LOOKUP = """
+import hdbwdm.cli
+from hdbwdm import projection
+print(projection._blas_shutdown.cache_info().currsize)
+""" + _MIXTURE + """
+project(X, rp)
+print(projection._blas_shutdown.cache_info().currsize)
+"""
+
+
+def test_blas_lookup_waits_for_the_first_blas_call():
+    assert _run_python(_LOOKUP).split() == ["0", "1"]
