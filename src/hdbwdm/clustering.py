@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .geometry import _as_points, medoid, spatial_median
+from .geometry import _as_points, _distance_kernels, medoid, spatial_median
 
 __all__ = [
     "TRIMMED",
@@ -132,14 +132,14 @@ def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Genera
     Returns ``(centers, dist)``: each center's ``cdist`` column is computed
     once, for the draws' D^2 and as ``dist``, bitwise ``cdist(X, centers, "sqeuclidean")``.
     """
-    from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
+    cdist_sqeuclidean = _distance_kernels().cdist_sqeuclidean  # scipy's, without scipy.spatial
 
     n = X.shape[0]
     centers = np.empty((K, X.shape[1]))
     dist = np.empty((n, K))
     centers[0] = X[int(rng.integers(n))]
     for k in range(1, K):
-        dist[:, k - 1] = cdist(X, centers[k - 1 : k], "sqeuclidean")[:, 0]
+        dist[:, k - 1] = cdist_sqeuclidean(X, centers[k - 1 : k])[:, 0]
         d2 = dist[:, :k].min(axis=1)  # squared distance to the nearest chosen center
         w = np.where(_lowest(d2, n - trim_count), d2, 0.0) if trim_count else d2
         total = w.sum()
@@ -148,7 +148,7 @@ def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Genera
         else:  # all candidate points coincide with chosen centers
             idx = int(rng.integers(n))
         centers[k] = X[idx]
-    dist[:, K - 1] = cdist(X, centers[K - 1 :], "sqeuclidean")[:, 0]
+    dist[:, K - 1] = cdist_sqeuclidean(X, centers[K - 1 :])[:, 0]
     return centers, dist
 
 
@@ -182,7 +182,7 @@ def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2):
     the labels, on the next step, so this returns what a test on labels
     and retained set together would.
     """
-    from scipy.spatial.distance import cdist  # loaded on first use: scipy takes ~0.4 s to import
+    cdist_sqeuclidean = _distance_kernels().cdist_sqeuclidean  # scipy's, without scipy.spatial
 
     n = X.shape[0]
     centers = centers.copy()
@@ -190,7 +190,7 @@ def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2):
     moved = np.arange(K)
     for it in range(max_iter):
         if it:
-            d2[:, moved] = cdist(X, centers[moved], "sqeuclidean")
+            d2[:, moved] = cdist_sqeuclidean(X, centers[moved])
         labels = d2.argmin(axis=1)
         dmin = d2[np.arange(n), labels]
         retained = _lowest(dmin, n - trim_count) if trim_count else np.ones(n, dtype=bool)

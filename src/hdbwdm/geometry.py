@@ -8,6 +8,11 @@ median-based validity scores in :mod:`hdbwdm.validity`.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,60 @@ __all__ = [
 
 _MEDOID_PDIST = 512  # medoid uses pdist below this many rows: O(m^2) memory, under ~3 MB
 _MEDOID_ROWS = 256  # and above it sums cdist in blocks of this many rows: O(256 m)
+
+
+def _scipy_extension(name: str) -> types.ModuleType:
+    """Load the extension module ``scipy.spatial.<name>`` without importing a scipy package.
+
+    ``find_spec`` of a top-level name imports nothing, and the loader runs
+    only the extension's own initialisation.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed as a package")
+    folder = os.path.join(spec.submodule_search_locations[0], "spatial")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, name + suffix)
+        if os.path.isfile(path):
+            full = f"scipy.spatial.{name}"
+            loader = importlib.machinery.ExtensionFileLoader(full, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(full, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"no {name} extension in {folder}")
+
+
+@functools.cache
+def _distance_kernels() -> types.SimpleNamespace:
+    """scipy's compiled float64 distance kernels, loaded once, on first use.
+
+    ``cdist_sqeuclidean``, ``cdist_euclidean`` and ``pdist_euclidean`` come
+    from ``scipy/spatial/_distance_pybind`` and ``to_squareform_from_vector_wrap``
+    from ``_distance_wrap``: the functions that ``scipy.spatial.distance``'s
+    ``cdist``, ``pdist`` and ``squareform`` call for float64 input, so the
+    bytes are theirs.  Importing ``scipy.spatial`` itself would also load
+    kd-trees, qhull, ``scipy.linalg``, ``scipy.sparse`` and scipy's own
+    OpenBLAS, about 0.4 s and 30 MB.  When another scipy layout lacks a file
+    or a name, the public functions stand in, with the same bytes.
+    """
+    try:
+        pybind = _scipy_extension("_distance_pybind")
+        wrap = _scipy_extension("_distance_wrap")
+        return types.SimpleNamespace(
+            cdist_sqeuclidean=pybind.cdist_sqeuclidean,
+            cdist_euclidean=pybind.cdist_euclidean,
+            pdist_euclidean=pybind.pdist_euclidean,
+            to_squareform_from_vector_wrap=wrap.to_squareform_from_vector_wrap,
+        )
+    except (ImportError, OSError, AttributeError):
+        from scipy.spatial.distance import cdist, pdist, squareform
+
+        return types.SimpleNamespace(
+            cdist_sqeuclidean=lambda XA, XB: cdist(XA, XB, "sqeuclidean"),
+            cdist_euclidean=cdist,
+            pdist_euclidean=pdist,
+            to_squareform_from_vector_wrap=lambda M, v: np.copyto(M, squareform(v)),
+        )
 
 
 def _as_points(points, name: str = "points") -> np.ndarray:
@@ -150,18 +209,26 @@ def medoid(points) -> tuple[int, np.ndarray]:
     where ``point`` is the actual data row (not a copy with new values).
 
     Below ``_MEDOID_PDIST`` rows each pair's distance is computed once, by
-    ``pdist``; larger sets sum ``cdist`` in row blocks to bound memory.
-    Both give bitwise the same row sums.
+    ``pdist``, and scipy's ``squareform`` fill makes the square whose rows
+    are summed; larger sets sum ``cdist`` in row blocks to bound memory.
+    Both give bitwise the same row sums.  The kernels are scipy's compiled
+    ones, loaded on first use without importing ``scipy.spatial`` (see
+    ``_distance_kernels``).
     """
-    # loaded on first use: scipy takes ~0.4 s to import
-    from scipy.spatial.distance import cdist, pdist, squareform
-
     X = _as_points(points)
-    if len(X) < _MEDOID_PDIST:
-        sums = squareform(pdist(X)).sum(axis=1)
+    kernels = _distance_kernels()
+    m = len(X)
+    if m < _MEDOID_PDIST:
+        # the C fill takes contiguous float64 arrays, as a fresh square and
+        # pdist's fresh vector are; the result is bitwise squareform(pdist(X))
+        square = np.zeros((m, m))
+        kernels.to_squareform_from_vector_wrap(square, kernels.pdist_euclidean(X))
+        sums = square.sum(axis=1)
     else:
         B = _MEDOID_ROWS
-        sums = np.concatenate([cdist(X[a : a + B], X).sum(axis=1) for a in range(0, len(X), B)])
+        sums = np.concatenate(
+            [kernels.cdist_euclidean(X[a : a + B], X).sum(axis=1) for a in range(0, m, B)]
+        )
     idx = int(np.argmin(sums))  # argmin takes the first minimum: lowest index
     return idx, X[idx]
 

@@ -27,6 +27,7 @@ from hdbwdm.clustering import (
     _lowest,
     _seedings,
 )
+from hdbwdm.geometry import _distance_kernels
 from oracles import canonical_labels, enumerate_kmeans, enumerate_trimmed_kmeans
 
 
@@ -346,17 +347,15 @@ def _assert_same_outcome(got, expected):
 @pytest.fixture
 def cdist_columns(monkeypatch):
     """Columns of every squared-Euclidean ``cdist`` the package computes while the test runs."""
-    import scipy.spatial.distance as distance
-
+    kernels = _distance_kernels()
     counted = []
-    original = distance.cdist
+    original = kernels.cdist_sqeuclidean
 
-    def counting(XA, XB, metric="euclidean", **kwargs):
-        if metric == "sqeuclidean":
-            counted.append(len(XB))
-        return original(XA, XB, metric, **kwargs)
+    def counting(XA, XB):
+        counted.append(len(XB))
+        return original(XA, XB)
 
-    monkeypatch.setattr(distance, "cdist", counting)
+    monkeypatch.setattr(kernels, "cdist_sqeuclidean", counting)
     return counted
 
 

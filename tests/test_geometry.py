@@ -1,6 +1,10 @@
 """Distance primitives, spatial median, medoid, robust scaling."""
 
+import importlib.machinery
 import math
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from hdbwdm import (
     robust_scale_fit,
     spatial_median,
 )
+from hdbwdm.clustering import _concentration_fit, _kmeanspp_init
+from hdbwdm.geometry import _MEDOID_ROWS, _distance_kernels
 from oracles import brute_medoid, distance_sum_objective, grid_spatial_median
 
 
@@ -170,7 +176,7 @@ def test_medoid_row_blocks_are_bitwise_full_row_sums():
 def test_medoid_pdist_below_the_cap_is_bitwise_the_row_blocks(monkeypatch, m):
     import scipy.spatial.distance as ssd
 
-    from hdbwdm.geometry import _MEDOID_PDIST, _MEDOID_ROWS
+    from hdbwdm.geometry import _MEDOID_PDIST
 
     assert _MEDOID_PDIST == 512
     X = np.random.default_rng(m).normal(size=(m, 20))
@@ -185,11 +191,121 @@ def test_medoid_pdist_below_the_cap_is_bitwise_the_row_blocks(monkeypatch, m):
     assert int(np.argmin(pair_sums)) == int(np.argmin(block_sums)) == 0
 
     pdist_calls = []
-    pdist = ssd.pdist
-    monkeypatch.setattr(ssd, "pdist", lambda X: pdist_calls.append(len(X)) or pdist(X))
+    kernels = _distance_kernels()
+    pdist = kernels.pdist_euclidean
+    monkeypatch.setattr(kernels, "pdist_euclidean", lambda X: pdist_calls.append(len(X)) or pdist(X))
     idx, point = medoid(X)
     assert pdist_calls == ([m] if m < 512 else [])
     assert idx == 0 and np.array_equal(point, X[0])
+
+
+def _benchmark_rows():
+    """550 x 300 rows, the shape the K scan's and the sweep's fits see."""
+    return np.random.default_rng(11).normal(size=(550, 300))
+
+
+def test_distance_kernels_are_bitwise_the_public_functions():
+    import scipy.spatial.distance as ssd
+
+    kernels = _distance_kernels()
+    assert kernels.pdist_euclidean is not ssd.pdist  # the extensions loaded
+    X = _benchmark_rows()
+    centers = X[[3, 100, 200, 300, 400, 500, 540, 7]]
+    for K in range(1, 9):
+        C = centers[:K]
+        assert np.array_equal(kernels.cdist_sqeuclidean(X, C), ssd.cdist(X, C, "sqeuclidean"))
+        assert np.array_equal(kernels.cdist_euclidean(C, X), ssd.cdist(C, X))
+    moved = np.array([1, 4, 6])
+    for C in (centers[moved], centers[::3], centers[2:3], X[::7]):  # fancy-indexed, strided, sliced
+        assert np.array_equal(kernels.cdist_sqeuclidean(X, C), ssd.cdist(X, C, "sqeuclidean"))
+        assert np.array_equal(kernels.cdist_euclidean(C, X), ssd.cdist(C, X))
+    assert np.array_equal(kernels.pdist_euclidean(X[::2, ::3]), ssd.pdist(X[::2, ::3]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 511, 512, 513])
+def test_medoid_kernels_are_bitwise_the_public_square_and_row_blocks(m):
+    import scipy.spatial.distance as ssd
+
+    kernels = _distance_kernels()
+    X = _benchmark_rows()[:m]
+    square = np.zeros((m, m))
+    kernels.to_squareform_from_vector_wrap(square, kernels.pdist_euclidean(X))
+    assert np.array_equal(square, ssd.squareform(ssd.pdist(X)))
+    blocks = np.concatenate(
+        [kernels.cdist_euclidean(X[a : a + _MEDOID_ROWS], X) for a in range(0, m, _MEDOID_ROWS)]
+    )
+    assert np.array_equal(blocks, ssd.cdist(X, X))
+    assert medoid(X)[0] == int(np.argmin(ssd.squareform(ssd.pdist(X)).sum(axis=1)))
+
+
+def _distance_outputs():
+    """A trimmed seeding, its fit, a filled square and medoids, through ``_distance_kernels``."""
+    X = _benchmark_rows()
+    centers, dist = _kmeanspp_init(X, 8, 55, np.random.default_rng(0))
+    labels, retained, obj = _concentration_fit(X, 8, 55, centers, 100, dist)
+    kernels = _distance_kernels()
+    square = np.zeros((300, 300))
+    kernels.to_squareform_from_vector_wrap(square, kernels.pdist_euclidean(X[:300]))
+    medoids = [medoid(X[:m])[0] for m in (1, 2, 300, 511, 512, 513)]
+    return centers, dist, labels, retained, np.array([obj]), square, np.array(medoids)
+
+
+@pytest.mark.parametrize("missing", ["file", "name"])
+def test_without_the_extensions_the_public_functions_give_the_same_bytes(monkeypatch, missing):
+    import scipy.spatial.distance as ssd
+
+    assert _distance_kernels().pdist_euclidean is not ssd.pdist
+    loaded = _distance_outputs()
+    if missing == "file":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    else:  # a module without the kernels' names
+        monkeypatch.setattr("hdbwdm.geometry._scipy_extension", types.ModuleType)
+    _distance_kernels.cache_clear()
+    try:
+        assert _distance_kernels().pdist_euclidean is ssd.pdist
+        public = _distance_outputs()
+    finally:
+        monkeypatch.undo()
+        _distance_kernels.cache_clear()
+    assert _distance_kernels().pdist_euclidean is not ssd.pdist
+    for got, expected in zip(public, loaded, strict=True):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+_LOAD_ORDER = """
+import hashlib, sys
+import numpy as np
+
+X = np.random.default_rng(0).normal(size=(550, 300))
+C = X[[5, 50, 500]]
+
+def kernels():
+    from hdbwdm.geometry import _distance_kernels
+    k = _distance_kernels()
+    square = np.zeros((300, 300))
+    k.to_squareform_from_vector_wrap(square, k.pdist_euclidean(X[:300]))
+    return k.cdist_sqeuclidean(X, C).tobytes() + square.tobytes()
+
+def public():
+    from scipy.spatial.distance import cdist, pdist, squareform
+    return cdist(X, C, "sqeuclidean").tobytes() + squareform(pdist(X[:300])).tobytes()
+
+routes = [kernels, public] if sys.argv[1] == "kernels first" else [public, kernels]
+print(*(hashlib.sha256(route()).hexdigest() for route in routes * 2))
+"""
+
+
+def test_the_kernels_and_scipy_spatial_load_in_either_order():
+    # the loader and scipy.spatial.distance each load the same two extension
+    # files; whichever comes first, both routes give the same bytes
+    digests = set()
+    for order in ("kernels first", "scipy.spatial first"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOAD_ORDER, order], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.update(proc.stdout.split())
+    assert len(digests) == 1
 
 
 def test_medoid_empty_input():
