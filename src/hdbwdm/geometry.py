@@ -63,27 +63,18 @@ def _distance_kernels() -> types.SimpleNamespace:
     ``cdist``, ``pdist`` and ``squareform`` call for float64 input, so the
     bytes are theirs.  Importing ``scipy.spatial`` itself would also load
     kd-trees, qhull, ``scipy.linalg``, ``scipy.sparse`` and scipy's own
-    OpenBLAS, about 0.4 s and 30 MB.  When another scipy layout lacks a file
-    or a name, the public functions stand in, with the same bytes.
+    OpenBLAS, about 0.4 s and 30 MB.  These are private scipy names, so
+    ``pyproject.toml`` bounds the scipy versions; a missing file raises
+    ``ImportError`` naming it.
     """
-    try:
-        pybind = _scipy_extension("_distance_pybind")
-        wrap = _scipy_extension("_distance_wrap")
-        return types.SimpleNamespace(
-            cdist_sqeuclidean=pybind.cdist_sqeuclidean,
-            cdist_euclidean=pybind.cdist_euclidean,
-            pdist_euclidean=pybind.pdist_euclidean,
-            to_squareform_from_vector_wrap=wrap.to_squareform_from_vector_wrap,
-        )
-    except (ImportError, OSError, AttributeError):
-        from scipy.spatial.distance import cdist, pdist, squareform
-
-        return types.SimpleNamespace(
-            cdist_sqeuclidean=lambda XA, XB: cdist(XA, XB, "sqeuclidean"),
-            cdist_euclidean=cdist,
-            pdist_euclidean=pdist,
-            to_squareform_from_vector_wrap=lambda M, v: np.copyto(M, squareform(v)),
-        )
+    pybind = _scipy_extension("_distance_pybind")
+    wrap = _scipy_extension("_distance_wrap")
+    return types.SimpleNamespace(
+        cdist_sqeuclidean=pybind.cdist_sqeuclidean,
+        cdist_euclidean=pybind.cdist_euclidean,
+        pdist_euclidean=pybind.pdist_euclidean,
+        to_squareform_from_vector_wrap=wrap.to_squareform_from_vector_wrap,
+    )
 
 
 def _as_points(points, name: str = "points") -> np.ndarray:

