@@ -20,7 +20,6 @@ from .datagen import (
     LabeledDataset,
     MixtureConfig,
     OUTLIER,
-    cluster_means,
     generate,
     read_dataset_csv,
     true_partition,
@@ -38,11 +37,8 @@ from .geometry import (
 from .harness import (
     DiagnosticReport,
     RepResult,
-    ReplicationStats,
-    SelectKReport,
     SweepCell,
     derive_seed,
-    replication_stats,
     run_diagnostic,
     run_select_k,
     run_sweep,
@@ -102,18 +98,14 @@ __all__ = [
     "OUTLIER",
     "MixtureConfig",
     "LabeledDataset",
-    "cluster_means",
     "generate",
     "true_partition",
     "write_dataset_csv",
     "read_dataset_csv",
-    "ReplicationStats",
     "RepResult",
     "SweepCell",
     "DiagnosticReport",
-    "SelectKReport",
     "derive_seed",
-    "replication_stats",
     "run_diagnostic",
     "run_sweep",
     "run_select_k",

@@ -104,7 +104,7 @@ def _partition_from_labels(y: np.ndarray) -> Partition:
     if ids != list(range(len(ids))):
         raise DataError(f"labels must be contiguous 0..K-1 (plus OUT), found {ids}")
     labels = np.where(y == OUTLIER, TRIMMED, y)
-    return Partition(labels=labels, K=len(ids), alpha=0.0, source="external")
+    return Partition(labels=labels, K=len(ids), alpha=0.0)
 
 
 def _cmd_bwdm(args) -> int:
@@ -144,10 +144,16 @@ def _cmd_hdbwdm(args) -> int:
     return 0
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < 0.5:
+        raise _UsageError(f"--alpha must lie in [0, 0.5), got {alpha}")
+
+
 def _cmd_diagnostic(args) -> int:
     cfg = _mixture_from(args)
     if not 1 <= args.p <= cfg.d:
         raise _UsageError(f"--p must lie in [1, d], got {args.p}")
+    _check_alpha(args.alpha)
     report = run_diagnostic(cfg, args.p, args.alpha, args.seed)
     write_diagnostic(report, args.out, args.format)
     for name in ("true", "kmeans", "trimmed-kmeans"):
@@ -174,6 +180,11 @@ def _cmd_sweep(args) -> int:
     for m in methods:
         if m not in ("rp", "pca"):
             raise _UsageError(f"--methods entries must be rp or pca, got {m!r}")
+    _check_alpha(args.alpha)
+    if args.reps < 2:
+        raise _UsageError(f"--reps must be >= 2, got {args.reps}")
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     cells = run_sweep(
         cfg,
         p_values,

@@ -45,8 +45,6 @@ TRIMMED = -1  # label sentinel for observations excluded from every cluster
 
 _N_INIT = 10  # restarts per fit
 
-_SOURCES = ("true-labels", "kmeans", "trimmed-kmeans", "external")
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -54,13 +52,12 @@ class Partition:
 
     ``labels[i]`` is a cluster id in ``0..K-1`` or :data:`TRIMMED`.
     ``alpha`` is the trimming proportion the fit was asked for (0 when no
-    trimming was involved), ``source`` records how the labels came to be.
+    trimming was involved).
     """
 
     labels: np.ndarray
     K: int
     alpha: float
-    source: str
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=int)
@@ -71,8 +68,6 @@ class Partition:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if not 0.0 <= self.alpha < 0.5:
             raise ValueError(f"alpha must lie in [0, 0.5), got {self.alpha}")
-        if self.source not in _SOURCES:
-            raise ValueError(f"source must be one of {_SOURCES}, got {self.source!r}")
         bad = (labels != TRIMMED) & ((labels < 0) | (labels >= self.K))
         if bad.any():
             raise ValueError(f"labels outside 0..{self.K - 1} (or TRIMMED) at rows {np.where(bad)[0][:5]}")
@@ -80,11 +75,6 @@ class Partition:
         if present.size != self.K:
             missing = sorted(set(range(self.K)) - set(present.tolist()))
             raise ValueError(f"cluster ids {missing} have no retained members")
-        if self.source == "trimmed-kmeans" and self.alpha > 0.0:
-            expect = math.ceil(self.alpha * labels.size)
-            got = int((labels == TRIMMED).sum())
-            if got != expect:
-                raise ValueError(f"trimmed-kmeans partition should trim {expect} rows, has {got}")
 
     @property
     def n(self) -> int:
@@ -105,7 +95,6 @@ class ClusterCenters:
 
     centers: np.ndarray
     kind: str
-    member_counts: np.ndarray
 
 
 class _RestartFailed(Exception):
@@ -223,7 +212,7 @@ def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2):
     return labels, retained, obj
 
 
-def _fit_best(X, K, alpha, seed, source, max_iter=100, n_init=_N_INIT, seedings=None):
+def _fit_best(X, K, alpha, seed, max_iter=100, n_init=_N_INIT, seedings=None):
     """Best restart of a (trimmed) k-means fit.
 
     ``seedings`` defaults to ``_seedings(X, K, ...)``, drawn one restart
@@ -267,7 +256,7 @@ def _fit_best(X, K, alpha, seed, source, max_iter=100, n_init=_N_INIT, seedings=
         )
     _, labels, retained = best
     out = np.where(retained, labels, TRIMMED)
-    return Partition(labels=out, K=K, alpha=float(alpha), source=source)
+    return Partition(labels=out, K=K, alpha=float(alpha))
 
 
 def kmeans(X, K: int, seed: int = 0, max_iter: int = 100, n_init: int = _N_INIT) -> Partition:
@@ -275,9 +264,9 @@ def kmeans(X, K: int, seed: int = 0, max_iter: int = 100, n_init: int = _N_INIT)
 
     An emptied cluster is reseeded at the point farthest from its previous
     center.  The restart with the lowest within-cluster sum of squared
-    distances wins.
+    distances wins.  This is ``trimmed_kmeans(X, K, 0.0, ...)``.
     """
-    return _fit_best(X, K, 0.0, seed, "kmeans", max_iter, n_init)
+    return _fit_best(X, K, 0.0, seed, max_iter, n_init)
 
 
 def trimmed_kmeans(
@@ -288,10 +277,9 @@ def trimmed_kmeans(
     Exactly ``ceil(alpha * n)`` observations end up trimmed.  A restart
     that empties a cluster of retained members is discarded; if every
     restart fails a :class:`NumericalError` is raised.  With
-    ``alpha = 0`` the result is identical to :func:`kmeans` under the
-    same seed schedule (apart from the recorded source).
+    ``alpha = 0`` this is :func:`kmeans`.
     """
-    return _fit_best(X, K, alpha, seed, "trimmed-kmeans", max_iter, n_init)
+    return _fit_best(X, K, alpha, seed, max_iter, n_init)
 
 
 def cluster_centers(X, part: Partition, kind: str = "medoid") -> ClusterCenters:
@@ -318,12 +306,10 @@ def _cluster_centers(X: np.ndarray, part: Partition, kind: str, memo: dict) -> C
     for its whole call, since splitting one cluster leaves the others as they were.
     """
     centers = np.empty((part.K, X.shape[1]))
-    counts = np.empty(part.K, dtype=int)
     for k in range(part.K):
         idx = np.flatnonzero(part.labels == k)
         if idx.size == 0:
             raise ValueError(f"cluster {k} has no retained members")
-        counts[k] = idx.size
         key = idx.tobytes()
         if key not in memo:
             members = X[idx]
@@ -335,4 +321,4 @@ def _cluster_centers(X: np.ndarray, part: Partition, kind: str, memo: dict) -> C
                 # can sit near 0.97, which needs a few thousand iterations
                 memo[key] = spatial_median(members, tol=1e-12, max_iter=20000)
         centers[k] = memo[key]
-    return ClusterCenters(centers=centers, kind=kind, member_counts=counts)
+    return ClusterCenters(centers=centers, kind=kind)

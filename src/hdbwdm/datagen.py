@@ -21,7 +21,6 @@ __all__ = [
     "OUTLIER",
     "MixtureConfig",
     "LabeledDataset",
-    "cluster_means",
     "generate",
     "true_partition",
     "write_dataset_csv",
@@ -79,7 +78,7 @@ class LabeledDataset:
     config: MixtureConfig
 
 
-def cluster_means(cfg: MixtureConfig) -> np.ndarray:
+def _cluster_means(cfg: MixtureConfig) -> np.ndarray:
     """The (K_true, d) matrix of configured cluster centers."""
     return np.arange(cfg.K_true)[:, None] * cfg.center_spacing * np.ones(cfg.d)
 
@@ -100,7 +99,7 @@ def generate(cfg: MixtureConfig) -> LabeledDataset:
     """
     rng = np.random.default_rng(cfg.seed)
     sizes = _cluster_sizes(cfg)
-    means = cluster_means(cfg)
+    means = _cluster_means(cfg)
     blocks = []
     labels = []
     for k in range(cfg.K_true):
@@ -119,9 +118,7 @@ def generate(cfg: MixtureConfig) -> LabeledDataset:
 
 def true_partition(ds: LabeledDataset) -> Partition:
     """Ground-truth labels as a partition, outlier rows marked TRIMMED."""
-    return Partition(
-        labels=ds.labels.copy(), K=ds.config.K_true, alpha=0.0, source="true-labels"
-    )
+    return Partition(labels=ds.labels.copy(), K=ds.config.K_true, alpha=0.0)
 
 
 def write_dataset_csv(X, labels, path, header: bool = True) -> None:

@@ -18,17 +18,14 @@ from .clustering import Partition, kmeans, trimmed_kmeans
 from .datagen import MixtureConfig, generate, true_partition
 from .errors import NumericalError
 from .projection import fit_pca, fit_random_projection, project
-from .validity import IndexReport, PipelineConfig, bwdm, hd_bwdm, select_k
+from .validity import IndexReport, PipelineConfig, SelectKResult, bwdm, hd_bwdm, select_k
 from .validity import _check_truth, _embed, _fit_model, _score
 
 __all__ = [
-    "ReplicationStats",
     "RepResult",
     "SweepCell",
     "DiagnosticReport",
-    "SelectKReport",
     "derive_seed",
-    "replication_stats",
     "run_diagnostic",
     "run_sweep",
     "run_select_k",
@@ -47,38 +44,22 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class ReplicationStats:
-    """Mean / sample SD / coefficient of variation of replicate values.
+def _replication_stats(values) -> tuple[float, float, float]:
+    """``(mean, sd, cv)`` of replicate values.
 
     ``sd`` uses the n-1 divisor and is NaN for a single value; ``cv`` is
     NaN whenever ``sd`` is undefined or the mean is zero.
     """
-
-    mean: float
-    sd: float
-    cv: float
-
-    @property
-    def sd_defined(self) -> bool:
-        return not math.isnan(self.sd)
-
-    @property
-    def cv_defined(self) -> bool:
-        return not math.isnan(self.cv)
-
-
-def replication_stats(values) -> ReplicationStats:
     vals = np.asarray(list(values), dtype=float)
     if vals.size == 0:
-        raise ValueError("replication_stats needs at least one value")
+        raise ValueError("replication statistics need at least one value")
     mean = float(vals.mean())
     # degenerate replicates carry +inf; inf - inf inside std is the
     # expected NaN outcome, not a condition worth a numpy warning
     with np.errstate(invalid="ignore"):
         sd = float(vals.std(ddof=1)) if vals.size > 1 else math.nan
     cv = sd / mean if not math.isnan(sd) and mean != 0.0 else math.nan
-    return ReplicationStats(mean=mean, sd=sd, cv=cv)
+    return mean, sd, cv
 
 
 @dataclass(frozen=True)
@@ -275,28 +256,19 @@ def run_sweep(
                 f"cell (p={p}, method={method}) failed {len(failed)}/{reps} replications; "
                 f"first failure: rep {failed[0][0]}: {failed[0][1]}"
             )
-        stats = replication_stats([r.value for r in ok])
+        mean, sd, cv = _replication_stats([r.value for r in ok])
         cells.append(
             SweepCell(
                 p=p,
                 method=method,
                 reps=len(ok),
-                mean_bwdm=stats.mean,
-                sd_bwdm=stats.sd,
-                cv=stats.cv,
+                mean_bwdm=mean,
+                sd_bwdm=sd,
+                cv=cv,
                 per_rep=tuple(ok),
             )
         )
     return cells
-
-
-@dataclass(frozen=True)
-class SelectKReport:
-    """K scan outcome plus an optional true-label score in the same embedding."""
-
-    K_star: int
-    reports: dict[int, IndexReport]
-    true_report: IndexReport | None
 
 
 def run_select_k(
@@ -304,13 +276,14 @@ def run_select_k(
     k_range,
     cfg_template: PipelineConfig,
     truth: Partition | None = None,
-) -> SelectKReport:
+) -> SelectKResult:
     """Scan K over shared-embedding fits; optionally score a known partition.
 
     ``truth`` (for example :func:`true_partition` of a generated dataset,
     outliers marked TRIMMED) is scored in the same embedding the scan
-    used; it is never shown to the K scan's fits.  A ``truth`` of the
-    wrong length is refused before the scan starts.
+    used, as the result's ``true_report``; it is never shown to the K
+    scan's fits.  A ``truth`` of the wrong length is refused before the
+    scan starts.
     """
     # scale once here so the truth score reuses the scan's scaled rows
     Xs = _embed(X, cfg_template.scale)
@@ -318,5 +291,6 @@ def run_select_k(
         _check_truth(truth, Xs.shape[0])
     cfg = replace(cfg_template, scale=False)
     result = select_k(Xs, k_range, cfg)
-    true_report = None if truth is None else hd_bwdm(Xs, cfg, truth, result.model)
-    return SelectKReport(K_star=result.K_star, reports=result.reports, true_report=true_report)
+    if truth is None:
+        return result
+    return replace(result, true_report=hd_bwdm(Xs, cfg, truth, result.model))

@@ -16,8 +16,8 @@ from dataclasses import asdict, fields
 
 from .datagen import MixtureConfig
 from .errors import DataError
-from .harness import DiagnosticReport, RepResult, SelectKReport, SweepCell
-from .validity import IndexReport
+from .harness import DiagnosticReport, RepResult, SweepCell
+from .validity import IndexReport, SelectKResult
 
 __all__ = [
     "write_index_report",
@@ -269,7 +269,7 @@ def read_sweep(out_dir, fmt: str = "csv"):
 
 # ------------------------------------------------------------------- select K
 
-def write_select_k(report: SelectKReport, out_dir, fmt: str = "csv") -> None:
+def write_select_k(report: SelectKResult, out_dir, fmt: str = "csv") -> None:
     os.makedirs(out_dir, exist_ok=True)
     if fmt == "json":
         obj = {

@@ -300,11 +300,16 @@ def hd_bwdm(
 
 @dataclass(frozen=True)
 class SelectKResult:
-    """Outcome of a K scan: the argmax K and the per-K reports."""
+    """Outcome of a K scan: the argmax K and the per-K reports.
+
+    ``true_report`` is a known partition's score in the scan's embedding;
+    only :func:`run_select_k` sets it.
+    """
 
     K_star: int
     reports: dict[int, IndexReport]
     model: ProjectionModel
+    true_report: IndexReport | None = None
 
 
 def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
@@ -344,7 +349,7 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     alpha, kind = cfg_template.alpha, cfg_template.center_kind
     for k in ks:
         try:
-            part = _fit_best(Xp, k, alpha, clust_seed, "trimmed-kmeans", seedings=seedings)
+            part = _fit_best(Xp, k, alpha, clust_seed, seedings=seedings)
             centers = _cluster_centers(Xp, part, kind, memo)
             reports[k] = _index_report(
                 Xp, part, centers, cfg_template.projection, cfg_template.p, cfg_template.seed

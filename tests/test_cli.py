@@ -231,6 +231,24 @@ def test_sweep_usage_and_numerical_exits(tmp_path):
     ]) == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["diagnostic", "--alpha", "0.7"], "--alpha must lie in [0, 0.5), got 0.7"),
+    (["sweep", "--alpha", "0.7"], "--alpha must lie in [0, 0.5), got 0.7"),
+    (["sweep", "--reps", "1"], "--reps must be >= 2, got 1"),
+    (["sweep", "--workers", "0"], "--workers must be >= 1, got 0"),
+])
+def test_bad_harness_values_are_usage_errors_before_any_data(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    def no_data(cfg):
+        raise AssertionError("data generated before the values were checked")
+
+    monkeypatch.setattr("hdbwdm.harness.generate", no_data)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_selectk_on_a_generated_mixture(tmp_path, capsys):
     code = main([
         "selectk", "--n-inliers", "40", "--d", "20", "--k-true", "3",

@@ -42,26 +42,18 @@ def _clusters(part):
 
 def test_partition_rejects_bad_labels():
     with pytest.raises(ValueError):
-        Partition(labels=np.array([0, 1, 3]), K=3, alpha=0.0, source="external")
+        Partition(labels=np.array([0, 1, 3]), K=3, alpha=0.0)
     with pytest.raises(ValueError):
-        Partition(labels=np.array([0, -2, 1]), K=2, alpha=0.0, source="external")
+        Partition(labels=np.array([0, -2, 1]), K=2, alpha=0.0)
 
 
 def test_partition_rejects_empty_cluster():
     with pytest.raises(ValueError):
-        Partition(labels=np.array([0, 0, 0]), K=2, alpha=0.0, source="external")
-
-
-def test_partition_trim_count_enforced_for_trimmed_source():
-    # ceil(0.25 * 5) = 2 trimmed rows required
-    good = np.array([0, TRIMMED, 1, TRIMMED, 1])
-    Partition(labels=good, K=2, alpha=0.25, source="trimmed-kmeans")
-    with pytest.raises(ValueError):
-        Partition(labels=np.array([0, 0, 1, TRIMMED, 1]), K=2, alpha=0.25, source="trimmed-kmeans")
+        Partition(labels=np.array([0, 0, 0]), K=2, alpha=0.0)
 
 
 def test_partition_counts():
-    part = Partition(labels=np.array([0, TRIMMED, 1, 0]), K=2, alpha=0.0, source="external")
+    part = Partition(labels=np.array([0, TRIMMED, 1, 0]), K=2, alpha=0.0)
     assert part.n == 4
     assert part.retained_count == 3
     assert list(part.trimmed_mask) == [False, True, False, False]
@@ -129,6 +121,7 @@ def test_trimmed_alpha_zero_reduces_to_kmeans():
         a = trimmed_kmeans(X, K=3, alpha=0.0, seed=seed)
         b = kmeans(X, K=3, seed=seed)
         assert np.array_equal(a.labels, b.labels)
+        assert (a.K, a.alpha) == (b.K, b.alpha) == (3, 0.0)
 
 
 def test_trimmed_isolates_gross_outlier():
@@ -425,14 +418,14 @@ def test_fits_inside_a_shared_seeding_equal_standalone_fits(kmeanspp_calls):
         "trimmed-kmeans": (0.1, lambda K: trimmed_kmeans(X, K, 0.1, seed=3)),
         "kmeans": (0.0, lambda K: kmeans(X, K, seed=3)),
     }
-    for source, (alpha, standalone) in fits.items():
+    for alpha, standalone in fits.values():
         kmeanspp_calls.clear()
         shared = list(_seedings(X, 6, int(np.ceil(alpha * X.shape[0])), 3, 10))
         for K in range(2, 7):
-            got = _fit_best(X, K, alpha, 3, source, seedings=shared)
+            got = _fit_best(X, K, alpha, 3, seedings=shared)
             expected = standalone(K)
             assert np.array_equal(got.labels, expected.labels)
-            assert (got.K, got.alpha, got.source) == (expected.K, expected.alpha, expected.source)
+            assert (got.K, got.alpha) == (expected.K, expected.alpha)
         # seeded once at the largest K, then once per restart by each standalone fit
         standalone_seeds = [K for K in range(2, 7) for _ in range(10)]
         assert [K for K, _ in kmeanspp_calls] == [6] * 10 + standalone_seeds
@@ -440,16 +433,15 @@ def test_fits_inside_a_shared_seeding_equal_standalone_fits(kmeanspp_calls):
 
 def test_cluster_centers_singleton():
     X = np.array([[4.0, 1.0], [0.0, 0.0], [0.1, 0.0]])
-    part = Partition(labels=np.array([0, 1, 1]), K=2, alpha=0.0, source="external")
+    part = Partition(labels=np.array([0, 1, 1]), K=2, alpha=0.0)
     for kind in ("medoid", "spatial-median"):
         centers = cluster_centers(X, part, kind=kind)
         assert np.allclose(centers.centers[0], [4.0, 1.0])
-        assert centers.member_counts[0] == 1
 
 
 def test_cluster_centers_hand_values():
     X = np.array([[0.0], [1.0], [2.0]])
-    part = Partition(labels=np.array([0, 0, 0]), K=1, alpha=0.0, source="external")
+    part = Partition(labels=np.array([0, 0, 0]), K=1, alpha=0.0)
     assert np.allclose(cluster_centers(X, part, kind="medoid").centers, [[1.0]])
     assert np.allclose(cluster_centers(X, part, kind="spatial-median").centers, [[1.0]])
 
@@ -458,7 +450,7 @@ def test_cluster_centers_even_set():
     # spatial median of an even 1-D set is the central midpoint; the medoid
     # stays on the lower of the tied members
     X = np.array([[0.0], [1.0], [2.0], [9.0]])
-    part = Partition(labels=np.zeros(4, dtype=int), K=1, alpha=0.0, source="external")
+    part = Partition(labels=np.zeros(4, dtype=int), K=1, alpha=0.0)
     assert np.allclose(cluster_centers(X, part, kind="spatial-median").centers, [[1.5]])
     assert np.allclose(cluster_centers(X, part, kind="medoid").centers, [[1.0]])
 
@@ -476,23 +468,22 @@ def test_medoid_centers_are_members():
 def test_cluster_centers_trimmed_rows_excluded():
     X = np.array([[0.0], [1.0], [2.0], [50.0]])
     labels = np.array([0, 0, 0, TRIMMED])
-    part = Partition(labels=labels, K=1, alpha=0.25, source="external")
+    part = Partition(labels=labels, K=1, alpha=0.25)
     assert np.allclose(cluster_centers(X, part, kind="medoid").centers, [[1.0]])
 
 
 def test_cluster_centers_empty_cluster_message():
-    part = Partition(labels=np.array([0, 0, 1]), K=2, alpha=0.0, source="external")
+    part = Partition(labels=np.array([0, 0, 1]), K=2, alpha=0.0)
     bad = Partition(
-        labels=np.array([0, 0, TRIMMED]), K=1, alpha=0.0, source="external"
+        labels=np.array([0, 0, TRIMMED]), K=1, alpha=0.0
     )
     X = np.zeros((3, 1))
     cluster_centers(X, part)  # fine
-    part2 = Partition(labels=np.array([0, TRIMMED, 0]), K=1, alpha=0.0, source="external")
+    part2 = Partition(labels=np.array([0, TRIMMED, 0]), K=1, alpha=0.0)
     cluster_centers(X, part2)  # fine: cluster 0 retains two rows
     with pytest.raises(ValueError, match="cluster 1"):
         broken = Partition.__new__(Partition)
         object.__setattr__(broken, "labels", np.array([0, 0, TRIMMED]))
         object.__setattr__(broken, "K", 2)
         object.__setattr__(broken, "alpha", 0.0)
-        object.__setattr__(broken, "source", "external")
         cluster_centers(X, broken)

@@ -10,12 +10,12 @@ from hdbwdm import (
     MixtureConfig,
     OUTLIER,
     TRIMMED,
-    cluster_means,
     generate,
     read_dataset_csv,
     true_partition,
     write_dataset_csv,
 )
+from hdbwdm.datagen import _cluster_means
 
 
 def test_benchmark_shape_and_counts():
@@ -46,7 +46,7 @@ def test_generate_is_deterministic_per_seed():
 
 def test_cluster_means_are_collinear_multiples_of_spacing():
     cfg = MixtureConfig(n_inliers=50, d=9, K_true=4, center_spacing=15.0)
-    means = cluster_means(cfg)
+    means = _cluster_means(cfg)
     assert means.shape == (4, 9)
     for k in range(4):
         assert np.all(means[k] == k * 15.0)
@@ -136,7 +136,6 @@ def test_true_partition_maps_outliers_to_trimmed():
     ds = generate(cfg)
     part = true_partition(ds)
     assert part.K == 3
-    assert part.source == "true-labels"
     assert part.alpha == 0.0
     assert part.labels is not ds.labels
     assert np.array_equal(part.labels == TRIMMED, ds.labels == OUTLIER)

@@ -26,10 +26,10 @@ from hdbwdm.harness import (
     _TAG_DATASET,
     _TAG_REPLICATION,
     _embedding,
+    _replication_stats,
     RepResult,
     SweepCell,
     derive_seed,
-    replication_stats,
     run_diagnostic,
     run_select_k,
     run_sweep,
@@ -37,38 +37,34 @@ from hdbwdm.harness import (
 
 
 def test_replication_stats_constant_stream():
-    stats = replication_stats([5.0, 5.0, 5.0])
-    assert stats.mean == 5.0
-    assert stats.sd == 0.0
-    assert stats.cv == 0.0
-    assert stats.sd_defined and stats.cv_defined
+    mean, sd, cv = _replication_stats([5.0, 5.0, 5.0])
+    assert (mean, sd, cv) == (5.0, 0.0, 0.0)
 
 
 def test_replication_stats_hand_pair():
-    stats = replication_stats([1.0, 3.0])
-    assert stats.mean == pytest.approx(2.0)
-    assert stats.sd == pytest.approx(math.sqrt(2.0))
-    assert stats.cv == pytest.approx(math.sqrt(2.0) / 2.0)
+    mean, sd, cv = _replication_stats([1.0, 3.0])
+    assert mean == pytest.approx(2.0)
+    assert sd == pytest.approx(math.sqrt(2.0))
+    assert cv == pytest.approx(math.sqrt(2.0) / 2.0)
 
 
 def test_replication_stats_single_value():
-    stats = replication_stats([7.0])
-    assert stats.mean == 7.0
-    assert math.isnan(stats.sd)
-    assert not stats.sd_defined
-    assert not stats.cv_defined
+    mean, sd, cv = _replication_stats([7.0])
+    assert mean == 7.0
+    assert math.isnan(sd)
+    assert math.isnan(cv)
 
 
 def test_replication_stats_zero_mean_leaves_cv_undefined():
-    stats = replication_stats([-1.0, 1.0])
-    assert stats.mean == 0.0
-    assert stats.sd == pytest.approx(math.sqrt(2.0))
-    assert math.isnan(stats.cv)
+    mean, sd, cv = _replication_stats([-1.0, 1.0])
+    assert mean == 0.0
+    assert sd == pytest.approx(math.sqrt(2.0))
+    assert math.isnan(cv)
 
 
 def test_replication_stats_rejects_empty():
     with pytest.raises(ValueError, match="at least one"):
-        replication_stats([])
+        _replication_stats([])
 
 
 def test_derive_seed_is_a_pure_function_of_the_path():
@@ -125,10 +121,10 @@ def test_sweep_cell_bookkeeping():
     assert [(c.p, c.method) for c in cells] == [(6, "rp"), (6, "pca"), (10, "rp"), (10, "pca")]
     for cell in cells:
         assert cell.reps == len(cell.per_rep) == 3
-        stats = replication_stats([r.value for r in cell.per_rep])
-        assert cell.mean_bwdm == pytest.approx(stats.mean, rel=1e-12)
-        assert cell.sd_bwdm == pytest.approx(stats.sd, rel=1e-12)
-        assert cell.cv == pytest.approx(stats.cv, rel=1e-12)
+        mean, sd, cv = _replication_stats([r.value for r in cell.per_rep])
+        assert cell.mean_bwdm == pytest.approx(mean, rel=1e-12)
+        assert cell.sd_bwdm == pytest.approx(sd, rel=1e-12)
+        assert cell.cv == pytest.approx(cv, rel=1e-12)
         assert cell.sd_bwdm >= 0.0
         for rep_index, rec in enumerate(cell.per_rep):
             assert rec.rep == rep_index
@@ -226,8 +222,7 @@ def test_sweep_identical_seeds_give_zero_sd():
     a = _sweep_job(job, sweep)
     b = _sweep_job(job, sweep)
     assert a == b and a[5] is None
-    stats = replication_stats([a[4], b[4]])
-    assert stats.sd == 0.0
+    assert _replication_stats([a[4], b[4]])[1] == 0.0
 
 
 def test_sweep_failure_cap_names_the_cell():
@@ -277,7 +272,7 @@ def test_run_select_k_on_a_plain_matrix(kmeanspp_calls):
     kmeanspp_calls.clear()
     with pytest.raises(ValueError, match="true_labels cover 10 rows but the data has 30"):
         run_select_k(X, [2, 3], template,
-                     truth=Partition(labels=[0, 1] * 5, K=2, alpha=0.0, source="external"))
+                     truth=Partition(labels=[0, 1] * 5, K=2, alpha=0.0))
     assert kmeanspp_calls == []  # refused before the scan seeds anything
 
 

@@ -11,6 +11,8 @@ from hdbwdm import (
     IndexReport,
     MixtureConfig,
     PipelineConfig,
+    SelectKResult,
+    fit_random_projection,
     generate,
     hd_bwdm,
     true_partition,
@@ -18,7 +20,6 @@ from hdbwdm import (
 from hdbwdm.harness import (
     DiagnosticReport,
     RepResult,
-    SelectKReport,
     SweepCell,
     run_diagnostic,
     run_select_k,
@@ -493,8 +494,9 @@ def _write_golden(kind, out, fmt):
         # candidates deliberately out of order: the CSV rows come out sorted
         reports = {3: _literal_report(4.0, 0.5, 3, 31), 2: _DEGENERATE}
         true_report = _literal_report(4.5, 0.5, 3, 31, n_used=36)
-        write_select_k(SelectKReport(K_star=3, reports=reports, true_report=true_report),
-                       out, fmt)
+        result = SelectKResult(K_star=3, reports=reports, model=fit_random_projection(4, 2, 0),
+                               true_report=true_report)
+        write_select_k(result, out, fmt)
 
 
 _GOLDEN = {

@@ -35,7 +35,7 @@ from oracles import direct_bwdm
 
 
 def _centers(points, labels, K, kind="spatial-median"):
-    part = Partition(labels=np.asarray(labels), K=K, alpha=0.0, source="external")
+    part = Partition(labels=np.asarray(labels), K=K, alpha=0.0)
     return cluster_centers(np.asarray(points, dtype=float), part, kind=kind)
 
 
@@ -82,7 +82,7 @@ def test_pair_distances_are_bitwise_pdist():
 
 
 def test_awdm_hand_value():
-    part = Partition(labels=TOY_LABELS, K=2, alpha=0.0, source="external")
+    part = Partition(labels=TOY_LABELS, K=2, alpha=0.0)
     centers = cluster_centers(TOY_X, part, kind="spatial-median")
     assert awdm(TOY_X, part, centers) == pytest.approx(1.0)
 
@@ -90,21 +90,21 @@ def test_awdm_hand_value():
 def test_awdm_trimmed_rows_contribute_nothing():
     X = np.array([[0.0], [1.0], [2.0], [50.0], [10.0], [11.0], [12.0]])
     labels = np.array([0, 0, 0, TRIMMED, 1, 1, 1])
-    part = Partition(labels=labels, K=2, alpha=0.0, source="external")
+    part = Partition(labels=labels, K=2, alpha=0.0)
     centers = cluster_centers(X, part, kind="spatial-median")
     assert awdm(X, part, centers) == pytest.approx(1.0)
 
 
 def test_awdm_requires_retained_above_k():
     X = np.array([[0.0], [10.0]])
-    part = Partition(labels=np.array([0, 1]), K=2, alpha=0.0, source="external")
+    part = Partition(labels=np.array([0, 1]), K=2, alpha=0.0)
     centers = cluster_centers(X, part)
     with pytest.raises(ValueError):
         awdm(X, part, centers)
 
 
 def test_bwdm_hand_value_both_center_kinds():
-    part = Partition(labels=TOY_LABELS, K=2, alpha=0.0, source="external")
+    part = Partition(labels=TOY_LABELS, K=2, alpha=0.0)
     for kind in ("spatial-median", "medoid"):
         rep = bwdm(TOY_X, part, center_kind=kind)
         assert rep.abdm == pytest.approx(10.0)
@@ -115,7 +115,7 @@ def test_bwdm_hand_value_both_center_kinds():
 
 def test_bwdm_degenerate_duplicate_points():
     X = np.array([[1.0], [1.0], [1.0], [5.0], [5.0], [5.0]])
-    part = Partition(labels=TOY_LABELS, K=2, alpha=0.0, source="external")
+    part = Partition(labels=TOY_LABELS, K=2, alpha=0.0)
     rep = bwdm(X, part)
     assert rep.awdm == 0.0
     assert rep.degenerate and math.isinf(rep.bwdm)
@@ -124,7 +124,7 @@ def test_bwdm_degenerate_duplicate_points():
 def test_bwdm_coincident_centers_score_zero():
     # two labels drawn over one interleaved set: centers collide, abdm 0
     X = np.array([[0.0], [1.0], [2.0], [0.0], [1.0], [2.0]])
-    part = Partition(labels=np.array([0, 0, 0, 1, 1, 1]), K=2, alpha=0.0, source="external")
+    part = Partition(labels=np.array([0, 0, 0, 1, 1, 1]), K=2, alpha=0.0)
     rep = bwdm(X, part, center_kind="spatial-median")
     assert rep.abdm == pytest.approx(0.0)
     assert rep.bwdm == pytest.approx(0.0)
@@ -133,7 +133,7 @@ def test_bwdm_coincident_centers_score_zero():
 def test_bwdm_report_ratio_consistency():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(20, 3))
-    part = Partition(labels=rng.integers(0, 3, size=20), K=3, alpha=0.0, source="external")
+    part = Partition(labels=rng.integers(0, 3, size=20), K=3, alpha=0.0)
     rep = bwdm(X, part)
     assert rep.bwdm == pytest.approx(rep.abdm / rep.awdm, rel=1e-12)
 
@@ -174,7 +174,7 @@ def test_bwdm_matches_direct_oracle():
         X = rng.normal(size=(n, d))
         labels = rng.integers(0, K, size=n)
         labels[:K] = np.arange(K)  # every cluster inhabited
-        part = Partition(labels=labels, K=K, alpha=0.0, source="external")
+        part = Partition(labels=labels, K=K, alpha=0.0)
         rep = bwdm(X, part, center_kind="medoid")
         oa, ow, ob = direct_bwdm(X, labels, K)
         assert rep.abdm == pytest.approx(oa, abs=1e-12)
@@ -186,7 +186,7 @@ def _random_labeled(rng, n=24, d=3, K=3):
     X = rng.normal(size=(n, d)) + rng.integers(0, 4, size=(n, 1)) * 6.0
     labels = rng.integers(0, K, size=n)
     labels[:K] = np.arange(K)
-    return X, Partition(labels=labels, K=K, alpha=0.0, source="external")
+    return X, Partition(labels=labels, K=K, alpha=0.0)
 
 
 def test_bwdm_scale_equivariance_quick():
@@ -219,7 +219,7 @@ def test_bwdm_label_permutation_invariance_quick():
         X, part = _random_labeled(rng)
         perm = rng.permutation(part.K)
         relabeled = Partition(
-            labels=perm[part.labels], K=part.K, alpha=0.0, source="external"
+            labels=perm[part.labels], K=part.K, alpha=0.0
         )
         a = bwdm(X, part, center_kind="medoid")
         b = bwdm(X, relabeled, center_kind="medoid")
@@ -252,7 +252,7 @@ def test_hd_bwdm_full_rank_orthonormal_matches_plain_bwdm():
                          center_kind="medoid", seed=0)
     rep = hd_bwdm(X, cfg, projection_model=_identity_like_model(4))
     scaled = robust_scale_apply(X, robust_scale_fit(X))
-    part = Partition(labels=np.repeat([0, 1], 20), K=2, alpha=0.0, source="external")
+    part = Partition(labels=np.repeat([0, 1], 20), K=2, alpha=0.0)
     plain = bwdm(scaled, part, center_kind="medoid")
     assert rep.bwdm == pytest.approx(plain.bwdm, rel=1e-6)
 
@@ -278,7 +278,7 @@ def test_hd_bwdm_true_labels_trim_outliers():
     ])
     truth = Partition(
         labels=np.concatenate([np.zeros(15, int), np.ones(15, int), np.full(3, TRIMMED)]),
-        K=2, alpha=0.0, source="true-labels",
+        K=2, alpha=0.0,
     )
     # the labels fix K and the trimmed rows: cfg.K and cfg.alpha go unused
     rep = hd_bwdm(X, PipelineConfig(K=3, p=4, seed=3), true_labels=truth)
@@ -324,8 +324,9 @@ def test_pipeline_config_k_is_needed_only_to_fit():
     template = PipelineConfig(p=5, alpha=0.1, seed=4)
     assert template.K is None
     res = select_k(X, range(2, 5), template)
+    assert res.true_report is None
     assert res.reports == select_k(X, range(2, 5), replace(template, K=2)).reports
-    truth = Partition(labels=np.repeat([0, 1, 2], 30), K=3, alpha=0.0, source="true-labels")
+    truth = Partition(labels=np.repeat([0, 1, 2], 30), K=3, alpha=0.0)
     assert hd_bwdm(X, template, truth) == hd_bwdm(X, replace(template, K=2), truth)
     with pytest.raises(ValueError) as err:
         hd_bwdm(X, template)
@@ -425,7 +426,6 @@ def test_select_k_computes_each_center_once(monkeypatch, kind):
     for X_p, part, cc in scored:
         fresh = cluster_centers(X_p, part, kind)
         assert np.array_equal(cc.centers, fresh.centers)
-        assert np.array_equal(cc.member_counts, fresh.member_counts)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.0], ids=["trimmed-kmeans", "kmeans"])
