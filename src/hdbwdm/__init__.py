@@ -9,7 +9,6 @@ exposes the whole pipeline.
 """
 
 from .clustering import (
-    ClusterCenters,
     Partition,
     TRIMMED,
     cluster_centers,
@@ -25,7 +24,7 @@ from .datagen import (
     true_partition,
     write_dataset_csv,
 )
-from .errors import DataError, HdbwdmError, NumericalError
+from .errors import DataError, HdbwdmError, NumericalError, UsageError
 from .geometry import (
     RobustScaleModel,
     SpatialMedianInfo,
@@ -67,6 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "HdbwdmError",
+    "UsageError",
     "DataError",
     "NumericalError",
     "spatial_median",
@@ -83,7 +83,6 @@ __all__ = [
     "distortion_profile",
     "TRIMMED",
     "Partition",
-    "ClusterCenters",
     "kmeans",
     "trimmed_kmeans",
     "cluster_centers",

@@ -2,8 +2,8 @@
 
 Subcommands: generate, bwdm, hdbwdm, diagnostic, sweep, selectk.  Every
 subcommand takes ``--out DIR`` and ``--format csv|json``.  Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure or out of
-memory.
+0 success, 1 usage error (:class:`UsageError`, raised where the library
+checks the value), 2 data error, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .datagen import (
     true_partition,
     write_dataset_csv,
 )
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 from .harness import run_diagnostic, run_select_k, run_sweep
 from .reports import (
     _config_dict,
@@ -39,10 +39,6 @@ from .reports import (
 from .validity import PipelineConfig, bwdm, hd_bwdm
 
 _CENTER_NAMES = {"medoid": "medoid", "smedian": "spatial-median"}
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -63,19 +59,28 @@ def _add_mixture(parser: argparse.ArgumentParser) -> None:
 
 
 def _mixture_from(args) -> MixtureConfig:
-    try:
-        return MixtureConfig(
-            n_inliers=args.n_inliers,
-            d=args.d,
-            K_true=args.k_true,
-            center_spacing=args.spacing,
-            within_sd=args.within_sd,
-            outlier_fraction=args.outlier_fraction,
-            outlier_range=(args.outlier_lo, args.outlier_hi),
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return MixtureConfig(
+        n_inliers=args.n_inliers,
+        d=args.d,
+        K_true=args.k_true,
+        center_spacing=args.spacing,
+        within_sd=args.within_sd,
+        outlier_fraction=args.outlier_fraction,
+        outlier_range=(args.outlier_lo, args.outlier_hi),
+        seed=args.seed,
+    )
+
+
+def _pipeline_from(args, K=None) -> PipelineConfig:
+    return PipelineConfig(
+        K=K,
+        p=args.p,
+        alpha=args.alpha,
+        projection=args.method,
+        center_kind=_CENTER_NAMES[args.center],
+        seed=args.seed,
+        scale=not args.no_scale,
+    )
 
 
 def _cmd_generate(args) -> int:
@@ -122,19 +127,8 @@ def _cmd_bwdm(args) -> int:
 
 
 def _cmd_hdbwdm(args) -> int:
+    cfg = _pipeline_from(args, K=args.k)
     X, _ = read_dataset_csv(args.input)
-    try:
-        cfg = PipelineConfig(
-            K=args.k,
-            p=args.p,
-            alpha=args.alpha,
-            projection=args.method,
-            center_kind=_CENTER_NAMES[args.center],
-            seed=args.seed,
-            scale=not args.no_scale,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     report = hd_bwdm(X, cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"report.{args.format}")
@@ -144,17 +138,8 @@ def _cmd_hdbwdm(args) -> int:
     return 0
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha < 0.5:
-        raise _UsageError(f"--alpha must lie in [0, 0.5), got {alpha}")
-
-
 def _cmd_diagnostic(args) -> int:
-    cfg = _mixture_from(args)
-    if not 1 <= args.p <= cfg.d:
-        raise _UsageError(f"--p must lie in [1, d], got {args.p}")
-    _check_alpha(args.alpha)
-    report = run_diagnostic(cfg, args.p, args.alpha, args.seed)
+    report = run_diagnostic(_mixture_from(args), args.p, args.alpha, args.seed)
     write_diagnostic(report, args.out, args.format)
     for name in ("true", "kmeans", "trimmed-kmeans"):
         e = report.entries[name]
@@ -167,9 +152,9 @@ def _parse_list(text: str, cast, flag: str):
     try:
         values = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise _UsageError(f"cannot parse {flag} {text!r}: {exc}") from exc
+        raise UsageError(f"cannot parse {flag} {text!r}: {exc}") from exc
     if not values:
-        raise _UsageError(f"{flag} is empty")
+        raise UsageError(f"{flag} is empty")
     return values
 
 
@@ -177,14 +162,6 @@ def _cmd_sweep(args) -> int:
     cfg = _mixture_from(args)
     p_values = _parse_list(args.p_list, int, "--p-list")
     methods = _parse_list(args.methods, str, "--methods")
-    for m in methods:
-        if m not in ("rp", "pca"):
-            raise _UsageError(f"--methods entries must be rp or pca, got {m!r}")
-    _check_alpha(args.alpha)
-    if args.reps < 2:
-        raise _UsageError(f"--reps must be >= 2, got {args.reps}")
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     cells = run_sweep(
         cfg,
         p_values,
@@ -207,7 +184,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_selectk(args) -> int:
     if args.k_min < 2 or args.k_max < args.k_min:
-        raise _UsageError(f"need 2 <= --k-min <= --k-max, got {args.k_min}..{args.k_max}")
+        raise UsageError(f"need 2 <= --k-min <= --k-max, got {args.k_min}..{args.k_max}")
+    cfg = _pipeline_from(args)
     truth = None
     if args.input is not None:
         X, y = read_dataset_csv(args.input)
@@ -220,17 +198,6 @@ def _cmd_selectk(args) -> int:
         X = ds.X
         if args.score_true:
             truth = true_partition(ds)
-    try:
-        cfg = PipelineConfig(
-            p=args.p,
-            alpha=args.alpha,
-            projection=args.method,
-            center_kind=_CENTER_NAMES[args.center],
-            seed=args.seed,
-            scale=not args.no_scale,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     report = run_select_k(X, range(args.k_min, args.k_max + 1), cfg, truth)
     write_select_k(report, args.out, args.format)
     print(f"k_star={report.K_star}")
@@ -326,7 +293,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.func(args)
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError, ValueError) as exc:

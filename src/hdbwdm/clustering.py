@@ -29,13 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, UsageError
 from .geometry import _as_points, _distance_kernels, medoid, spatial_median
 
 __all__ = [
     "TRIMMED",
     "Partition",
-    "ClusterCenters",
     "kmeans",
     "trimmed_kmeans",
     "cluster_centers",
@@ -87,14 +86,6 @@ class Partition:
     @property
     def retained_count(self) -> int:
         return int((self.labels != TRIMMED).sum())
-
-
-@dataclass(frozen=True)
-class ClusterCenters:
-    """Per-cluster center estimates of one kind ("medoid" or "spatial-median")."""
-
-    centers: np.ndarray
-    kind: str
 
 
 class _RestartFailed(Exception):
@@ -221,20 +212,20 @@ def _fit_best(X, K, alpha, seed, max_iter=100, n_init=_N_INIT, seedings=None):
     X = _as_points(X, "X")
     n = X.shape[0]
     if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
+        raise UsageError(f"K must be >= 2, got {K}")
     if K > n:
-        raise ValueError(f"K={K} exceeds the number of observations n={n}")
+        raise UsageError(f"K={K} exceeds the number of observations n={n}")
     if not 0.0 <= alpha < 0.5:
-        raise ValueError(f"alpha must lie in [0, 0.5), got {alpha}")
+        raise UsageError(f"alpha must lie in [0, 0.5), got {alpha}")
     trim_count = math.ceil(alpha * n)
     if n - trim_count < K:
-        raise ValueError(
+        raise UsageError(
             f"trimming {trim_count} of {n} rows leaves fewer than K={K} retained observations"
         )
     if n_init < 1:
-        raise ValueError(f"n_init must be >= 1, got {n_init}")
+        raise UsageError(f"n_init must be >= 1, got {n_init}")
     if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        raise UsageError(f"max_iter must be >= 1, got {max_iter}")
 
     if seedings is None:
         seedings = _seedings(X, K, trim_count, seed, n_init)
@@ -282,8 +273,8 @@ def trimmed_kmeans(
     return _fit_best(X, K, alpha, seed, max_iter, n_init)
 
 
-def cluster_centers(X, part: Partition, kind: str = "medoid") -> ClusterCenters:
-    """Per-cluster robust centers over the retained members.
+def cluster_centers(X, part: Partition, kind: str = "medoid") -> np.ndarray:
+    """Per-cluster robust centers over the retained members, as a (K, dim) array.
 
     ``kind="medoid"`` picks the member minimizing the within-cluster
     distance sum (the stored row is bit-identical to that member);
@@ -297,7 +288,7 @@ def cluster_centers(X, part: Partition, kind: str = "medoid") -> ClusterCenters:
     return _cluster_centers(X, part, kind, {})
 
 
-def _cluster_centers(X: np.ndarray, part: Partition, kind: str, memo: dict) -> ClusterCenters:
+def _cluster_centers(X: np.ndarray, part: Partition, kind: str, memo: dict) -> np.ndarray:
     """``cluster_centers`` on checked input, reusing the centers in ``memo``.
 
     ``memo`` maps the bytes of a cluster's member indices to its center.
@@ -321,4 +312,4 @@ def _cluster_centers(X: np.ndarray, part: Partition, kind: str, memo: dict) -> C
                 # can sit near 0.97, which needs a few thousand iterations
                 memo[key] = spatial_median(members, tol=1e-12, max_iter=20000)
         centers[k] = memo[key]
-    return ClusterCenters(centers=centers, kind=kind)
+    return centers

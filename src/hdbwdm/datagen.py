@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Partition
-from .errors import DataError
+from .errors import DataError, UsageError
 
 __all__ = [
     "OUTLIER",
@@ -45,20 +45,20 @@ class MixtureConfig:
 
     def __post_init__(self):
         if self.n_inliers < 1:
-            raise ValueError(f"n_inliers must be >= 1, got {self.n_inliers}")
+            raise UsageError(f"n_inliers must be >= 1, got {self.n_inliers}")
         if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+            raise UsageError(f"d must be >= 1, got {self.d}")
         if not 1 <= self.K_true <= self.n_inliers:
-            raise ValueError(f"need 1 <= K_true <= n_inliers, got K_true={self.K_true}")
+            raise UsageError(f"need 1 <= K_true <= n_inliers, got K_true={self.K_true}")
         if self.within_sd <= 0:
-            raise ValueError(f"within_sd must be > 0, got {self.within_sd}")
+            raise UsageError(f"within_sd must be > 0, got {self.within_sd}")
         if not 0.0 <= self.outlier_fraction < 1.0:
-            raise ValueError(f"outlier_fraction must lie in [0, 1), got {self.outlier_fraction}")
+            raise UsageError(f"outlier_fraction must lie in [0, 1), got {self.outlier_fraction}")
         lo, hi = self.outlier_range
         if not lo < hi:
-            raise ValueError(f"outlier_range must be (lo, hi) with lo < hi, got {self.outlier_range}")
+            raise UsageError(f"outlier_range must be (lo, hi) with lo < hi, got {self.outlier_range}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_outliers(self) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clustering import Partition, kmeans, trimmed_kmeans
 from .datagen import MixtureConfig, generate, true_partition
-from .errors import NumericalError
+from .errors import NumericalError, UsageError
 from .projection import fit_pca, fit_random_projection, project
 from .validity import IndexReport, PipelineConfig, SelectKResult, bwdm, hd_bwdm, select_k
 from .validity import _check_truth, _embed, _fit_model, _score
@@ -86,11 +86,14 @@ def run_diagnostic(cfg: MixtureConfig, p: int, alpha: float, seed: int) -> Diagn
     derived from ``seed``; ``cfg.seed`` is ignored.  The data is robustly
     scaled and sent through one Gaussian random projection, then scored
     with the true labels (outliers pre-trimmed), a plain k-means fit and
-    a trimmed k-means fit at ``alpha``.
+    a trimmed k-means fit at ``alpha``.  ``cfg.K_true``, ``p`` and
+    ``alpha`` are checked before any data is drawn.
     """
+    PipelineConfig(K=cfg.K_true, p=p, alpha=alpha)  # raises UsageError on a bad K, p or alpha
     ds_seed, proj_seed, km_seed, tk_seed = (derive_seed(seed, i) for i in range(4))
+    model = fit_random_projection(cfg.d, p, proj_seed)
     ds = generate(replace(cfg, seed=ds_seed))
-    Xp = project(_embed(ds.X, True), fit_random_projection(cfg.d, p, proj_seed))
+    Xp = project(_embed(ds.X, True), model)
 
     parts = {
         "true": true_partition(ds),
@@ -164,9 +167,7 @@ def _sweep_job(job, sweep=None):
     try:
         if Xs is None:  # fresh data: one dataset and one embedding per replication
             Xs, pca_rows = _embedding(cfg, rep_seed, [p], [method])
-        Xp = pca_rows.get(p) if method == "pca" else None
-        if Xp is None:  # a random projection, or a PCA width out of reach
-            Xp = project(Xs, _fit_model(Xs, pcfg))
+        Xp = pca_rows[p] if method == "pca" else project(Xs, _fit_model(Xs, pcfg))
         report = _score(Xp, pcfg)
     except (ValueError, NumericalError) as exc:
         return (p, method, rep, rep_seed, None, str(exc))
@@ -174,21 +175,19 @@ def _sweep_job(job, sweep=None):
 
 
 def _embedding(cfg, seed, p_values, methods):
-    """The dataset of ``seed`` scaled once, and its PCA projection at each p it reaches.
+    """The dataset of ``seed`` scaled once, and its PCA projection at each p.
 
-    One PCA fit at the largest such p serves them all: loadings are signed
-    row by row, so their leading rows are bitwise the fit at a smaller p.
-    A p out of reach gets no rows and fails per replication.
+    One PCA fit at the largest p serves them all: loadings are signed row
+    by row, so their leading rows are bitwise the fit at a smaller p.
     """
     Xs = _embed(generate(replace(cfg, seed=derive_seed(seed, _TAG_DATASET))).X, True)
-    usable = [p for p in p_values if 1 <= p <= min(Xs.shape[0] - 1, Xs.shape[1])]
-    if "pca" not in methods or not usable:
+    if "pca" not in methods:
         return Xs, {}
-    top = fit_pca(Xs, max(usable))
+    top = fit_pca(Xs, max(p_values))
     m, ev = top.matrix, top.explained_variance
     return Xs, {
         p: project(Xs, replace(top, matrix=m[:p], explained_variance=ev[:p]))
-        for p in usable
+        for p in p_values
     }
 
 
@@ -206,26 +205,36 @@ def run_sweep(
 
     By default every replication reuses one dataset generated from the
     master seed and varies only the projection and clustering seeds;
-    ``fresh_data=True`` regenerates the dataset per replication.  Failed
-    replications are dropped; a cell with more than 20% failures raises
-    a :class:`NumericalError`.  Replications may run across up to
-    ``n_workers`` processes, never more than there are replications,
-    without changing any output.
+    ``fresh_data=True`` regenerates the dataset per replication.  Every
+    argument, each p against ``cfg``'s shape included, is checked before
+    any data is drawn.  Failed replications are dropped; a cell with more
+    than 20% failures raises a :class:`NumericalError`.  Replications may
+    run across up to ``n_workers`` processes, never more than there are
+    replications, without changing any output.
     """
     p_values = [int(p) for p in p_values]
     methods = list(methods)
     if not p_values or not methods:
-        raise ValueError("p_values and methods must be non-empty")
+        raise UsageError("p_values and methods must be non-empty")
     for m in methods:
         if m not in _METHOD_CODES:
-            raise ValueError(f"unknown method {m!r}, expected one of {sorted(_METHOD_CODES)}")
+            raise UsageError(f"unknown method {m!r}, expected one of {sorted(_METHOD_CODES)}")
     for name, values in (("p_values", p_values), ("methods", methods)):
         if len(set(values)) < len(values):
-            raise ValueError(f"{name} must not repeat, got {values}")
+            raise UsageError(f"{name} must not repeat, got {values}")
     if reps < 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
+        raise UsageError(f"reps must be >= 2, got {reps}")
     if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        raise UsageError(f"n_workers must be >= 1, got {n_workers}")
+    n, d = cfg.n_total, cfg.d
+    for p in p_values:  # what a single hd_bwdm call on the sweep's data would refuse
+        PipelineConfig(K=cfg.K_true, p=p, alpha=alpha)  # raises UsageError on a bad K, p or alpha
+        if p > d:
+            raise UsageError(f"p={p} exceeds the data dimension d={d}")
+        if "pca" in methods and p > n - 1:
+            raise UsageError(
+                f"p={p} exceeds the attainable rank {n - 1} for {n} observations in {d} dimensions"
+            )
 
     fixed = (None, None) if fresh_data else _embedding(cfg, master_seed, p_values, methods)
     sweep = (cfg, float(alpha), *fixed)

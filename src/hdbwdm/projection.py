@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from .geometry import _as_points
 
 __all__ = [
@@ -87,7 +87,7 @@ def fit_random_projection(d: int, p: int, seed: int) -> ProjectionModel:
     Preconditions: ``1 <= p <= d``.
     """
     if not 1 <= p <= d:
-        raise ValueError(f"need 1 <= p <= d, got p={p}, d={d}")
+        raise UsageError(f"need 1 <= p <= d, got p={p}, d={d}")
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((p, d)) / np.sqrt(p)
     return ProjectionModel(kind="rp", matrix=matrix, centers=np.zeros(d), seed=int(seed))
@@ -107,10 +107,10 @@ def fit_pca(X, p: int) -> ProjectionModel:
     X = _as_points(X, "X")
     n, d = X.shape
     if n < 2:
-        raise ValueError(f"PCA needs at least 2 observations, got {n}")
+        raise UsageError(f"PCA needs at least 2 observations, got {n}")
     max_rank = min(n - 1, d)
     if not 1 <= p <= max_rank:
-        raise ValueError(
+        raise UsageError(
             f"p={p} exceeds the attainable rank {max_rank} for {n} observations in {d} dimensions"
         )
     centers = X.mean(axis=0)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .clustering import (
     _N_INIT,
-    ClusterCenters,
     Partition,
     _cluster_centers,
     _fit_best,
@@ -27,8 +26,8 @@ from .clustering import (
     cluster_centers,
     trimmed_kmeans,
 )
-from .errors import NumericalError
-from .geometry import _as_points, robust_scale_apply, robust_scale_fit
+from .errors import NumericalError, UsageError
+from .geometry import _as_points, _distance_kernels, robust_scale_apply, robust_scale_fit
 from .projection import ProjectionModel, fit_pca, fit_random_projection, project
 
 __all__ = [
@@ -107,35 +106,25 @@ class IndexReport:
         )
 
 
-def _pair_distances(C: np.ndarray) -> np.ndarray:
-    """Euclidean distances of the rows of ``C`` over pairs i < j, in ``pdist`` order.
-
-    ``np.add.accumulate`` sums each pair's squared differences one column
-    at a time, in column order, as scipy's ``pdist`` does, so the result
-    is bitwise ``pdist(C)`` without loading scipy.
-    """
-    sums = [np.add.accumulate((C[i + 1:] - C[i]) ** 2, axis=1)[:, -1] for i in range(len(C) - 1)]
-    return np.sqrt(np.concatenate(sums))
-
-
-def abdm(centers: ClusterCenters | np.ndarray) -> float:
-    """Average between-center distance over ordered pairs.
+def abdm(centers) -> float:
+    """Average between-center distance over ordered pairs of the rows of ``centers``.
 
     Equals ``sum_{i != j} ||c_i - c_j|| / (K * (K - 1))``; needs K >= 2.
     """
-    C = centers.centers if isinstance(centers, ClusterCenters) else _as_points(centers, "centers")
+    C = _as_points(centers, "centers")
     K = C.shape[0]
     if K < 2:
         raise ValueError(f"abdm needs at least 2 centers, got {K}")
-    return float(2.0 * _pair_distances(C).sum() / (K * (K - 1)))
+    return float(2.0 * _distance_kernels().pdist_euclidean(C).sum() / (K * (K - 1)))
 
 
-def awdm(X, part: Partition, centers: ClusterCenters) -> float:
+def awdm(X, part: Partition, centers) -> float:
     """Average within-cluster distance over retained observations.
 
     Sums the distance from each retained observation to its cluster
-    center and divides by ``retained_count - K``; trimmed observations
-    contribute nothing.  Requires ``retained_count > K``.
+    center (row ``k`` of ``centers`` for cluster ``k``) and divides by
+    ``retained_count - K``; trimmed observations contribute nothing.
+    Requires ``retained_count > K``.
     """
     X = _as_points(X, "X")
     if X.shape[0] != part.n:
@@ -144,7 +133,7 @@ def awdm(X, part: Partition, centers: ClusterCenters) -> float:
     if retained <= part.K:
         raise ValueError(f"awdm needs retained_count > K, got {retained} <= {part.K}")
     mask = ~part.trimmed_mask
-    diffs = X[mask] - centers.centers[part.labels[mask]]
+    diffs = X[mask] - np.asarray(centers, dtype=float)[part.labels[mask]]
     total = float(np.sqrt((diffs**2).sum(axis=1)).sum())
     return total / (retained - part.K)
 
@@ -168,14 +157,14 @@ def bwdm(
     The keyword-only arguments only annotate the report's provenance
     fields; they do not change the computation.
     """
-    cc = cluster_centers(X, part, kind=center_kind)
-    return _index_report(X, part, cc, projection, p, seed)
+    C = cluster_centers(X, part, kind=center_kind)
+    return _index_report(X, part, C, center_kind, projection, p, seed)
 
 
-def _index_report(X, part: Partition, cc: ClusterCenters, projection, p, seed) -> IndexReport:
-    """``bwdm``'s index and report from centers already computed."""
-    a = abdm(cc)
-    w = awdm(X, part, cc)
+def _index_report(X, part: Partition, C: np.ndarray, kind, projection, p, seed) -> IndexReport:
+    """``bwdm``'s index and report from ``kind`` centers already computed."""
+    a = abdm(C)
+    w = awdm(X, part, C)
     if w == 0.0:
         value, degenerate = math.inf, True
     else:
@@ -188,7 +177,7 @@ def _index_report(X, part: Partition, cc: ClusterCenters, projection, p, seed) -
         p=p,
         alpha=part.alpha,
         projection=projection,
-        center_kind=cc.kind,
+        center_kind=kind,
         seed=seed,
         n_used=part.retained_count,
         degenerate=degenerate,
@@ -216,17 +205,17 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.K is not None and self.K < 2:
-            raise ValueError(f"K must be >= 2, got {self.K}")
+            raise UsageError(f"K must be >= 2, got {self.K}")
         if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+            raise UsageError(f"p must be >= 1, got {self.p}")
         if not 0.0 <= self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in [0, 0.5), got {self.alpha}")
+            raise UsageError(f"alpha must lie in [0, 0.5), got {self.alpha}")
         if self.projection not in _PROJECTIONS:
-            raise ValueError(f"projection must be one of {_PROJECTIONS}, got {self.projection!r}")
+            raise UsageError(f"projection must be one of {_PROJECTIONS}, got {self.projection!r}")
         if self.center_kind not in _CENTER_KINDS:
-            raise ValueError(f"center_kind must be one of {_CENTER_KINDS}, got {self.center_kind!r}")
+            raise UsageError(f"center_kind must be one of {_CENTER_KINDS}, got {self.center_kind!r}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 def _sub_seeds(seed: int, n: int = 2) -> list[int]:
@@ -244,7 +233,7 @@ def _fit_model(Xs: np.ndarray, cfg: PipelineConfig, model=None) -> ProjectionMod
     """Pipeline stage 2: check ``cfg.p`` against the data, then fit or vet the projection."""
     d = Xs.shape[1]
     if not cfg.p <= d:
-        raise ValueError(f"p={cfg.p} exceeds the data dimension d={d}")
+        raise UsageError(f"p={cfg.p} exceeds the data dimension d={d}")
     if model is None:
         if cfg.projection == "rp":
             return fit_random_projection(d, cfg.p, _sub_seeds(cfg.seed)[0])
@@ -328,10 +317,10 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     Xs = _embed(X_raw, cfg_template.scale)
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
-        raise ValueError("k_range is empty")
+        raise UsageError("k_range is empty")
     limit = Xs.shape[0] * (1.0 - cfg_template.alpha) / 2.0
     if ks[0] < 2 or ks[-1] > limit:
-        raise ValueError(
+        raise UsageError(
             f"k_range must lie within [2, n*(1-alpha)/2] = [2, {limit:.1f}], got {ks[0]}..{ks[-1]}"
         )
     model = _fit_model(Xs, cfg_template)
@@ -352,7 +341,7 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
             part = _fit_best(Xp, k, alpha, clust_seed, seedings=seedings)
             centers = _cluster_centers(Xp, part, kind, memo)
             reports[k] = _index_report(
-                Xp, part, centers, cfg_template.projection, cfg_template.p, cfg_template.seed
+                Xp, part, centers, kind, cfg_template.projection, cfg_template.p, cfg_template.seed
             )
         except (ValueError, NumericalError) as exc:
             warnings.warn(f"K={k} skipped: {exc}", stacklevel=2)

@@ -82,10 +82,10 @@ def test_hdbwdm_runs_the_pipeline(tmp_path, capsys):
 
 def test_hdbwdm_error_exit_codes(tmp_path):
     path = _write_small_dataset(tmp_path)
-    # data errors: oversized p, unreadable input
-    assert main(["hdbwdm", str(path), "--k", "2", "--p", "99", "--out", str(tmp_path)]) == 2
+    # data error: unreadable input
     assert main(["hdbwdm", str(tmp_path / "nope.csv"), "--k", "2", "--p", "4"]) == 2
-    # usage errors: invalid alpha, unknown flag, missing required flag
+    # usage errors: p above the data's d, invalid alpha, unknown flag, missing required flag
+    assert main(["hdbwdm", str(path), "--k", "2", "--p", "99", "--out", str(tmp_path)]) == 1
     assert main(["hdbwdm", str(path), "--k", "2", "--p", "8", "--alpha", "0.7"]) == 1
     assert main(["hdbwdm", str(path), "--k", "2", "--p", "8", "--bogus", "1"]) == 1
     assert main(["hdbwdm", str(path), "--p", "8"]) == 1
@@ -221,7 +221,7 @@ def test_sweep_usage_and_numerical_exits(tmp_path):
     assert main([
         "sweep", "--p-list", "4,4", "--methods", "rp", "--reps", "2",
         "--out", str(tmp_path),
-    ]) == 2
+    ]) == 1
     # coincident-blob construction whose trim step empties a cluster
     assert main([
         "sweep", "--n-inliers", "6", "--d", "12", "--k-true", "2",
@@ -232,10 +232,10 @@ def test_sweep_usage_and_numerical_exits(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["diagnostic", "--alpha", "0.7"], "--alpha must lie in [0, 0.5), got 0.7"),
-    (["sweep", "--alpha", "0.7"], "--alpha must lie in [0, 0.5), got 0.7"),
-    (["sweep", "--reps", "1"], "--reps must be >= 2, got 1"),
-    (["sweep", "--workers", "0"], "--workers must be >= 1, got 0"),
+    (["diagnostic", "--alpha", "0.7"], "alpha must lie in [0, 0.5), got 0.7"),
+    (["sweep", "--alpha", "0.7"], "alpha must lie in [0, 0.5), got 0.7"),
+    (["sweep", "--reps", "1"], "reps must be >= 2, got 1"),
+    (["sweep", "--workers", "0"], "n_workers must be >= 1, got 0"),
 ])
 def test_bad_harness_values_are_usage_errors_before_any_data(
     tmp_path, capsys, monkeypatch, argv, message
@@ -246,6 +246,40 @@ def test_bad_harness_values_are_usage_errors_before_any_data(
     monkeypatch.setattr("hdbwdm.harness.generate", no_data)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["diagnostic", "sweep", "selectk", "hdbwdm"])
+def test_p_above_d_is_one_usage_error_in_every_command(tmp_path, capsys, command):
+    mix = ["--n-inliers", "40", "--d", "10", "--k-true", "2"]
+    argv = {
+        "diagnostic": ["diagnostic", *mix, "--p", "11"],
+        "sweep": ["sweep", *mix, "--p-list", "11", "--reps", "2"],
+        "selectk": ["selectk", *mix, "--k-max", "3", "--p", "11"],
+        "hdbwdm": ["hdbwdm", str(_write_small_dataset(tmp_path)), "--k", "2", "--p", "31"],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--p-list", "0", "--reps", "2"],
+    ["sweep", "--p-list", "4,4", "--reps", "2"],
+    ["sweep", "--methods", "rp,rp", "--reps", "2"],
+    ["hdbwdm", "nope.csv", "--k", "2", "--p", "4", "--alpha", "0.7"],
+], ids=["p-below-one", "repeated-p", "repeated-method", "alpha-before-the-file"])
+def test_flag_only_usage_errors_come_before_any_data(tmp_path, capsys, monkeypatch, argv):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data touched before the values were checked")
+
+    monkeypatch.setattr("hdbwdm.harness.generate", no_data)
+    monkeypatch.setattr("hdbwdm.cli.generate", no_data)
+    monkeypatch.setattr("hdbwdm.cli.read_dataset_csv", no_data)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: "), err
     assert not (tmp_path / "out").exists()
 
 

@@ -73,7 +73,7 @@ def test_kmeans_k_equals_n():
     part = kmeans(X, K=3, seed=0)
     assert sorted(part.labels) == [0, 1, 2]
     centers = cluster_centers(X, part, kind="medoid")
-    assert np.allclose(np.sort(centers.centers, axis=0), np.sort(X, axis=0))
+    assert np.allclose(np.sort(centers, axis=0), np.sort(X, axis=0))
 
 
 def test_kmeans_deterministic():
@@ -436,14 +436,14 @@ def test_cluster_centers_singleton():
     part = Partition(labels=np.array([0, 1, 1]), K=2, alpha=0.0)
     for kind in ("medoid", "spatial-median"):
         centers = cluster_centers(X, part, kind=kind)
-        assert np.allclose(centers.centers[0], [4.0, 1.0])
+        assert np.allclose(centers[0], [4.0, 1.0])
 
 
 def test_cluster_centers_hand_values():
     X = np.array([[0.0], [1.0], [2.0]])
     part = Partition(labels=np.array([0, 0, 0]), K=1, alpha=0.0)
-    assert np.allclose(cluster_centers(X, part, kind="medoid").centers, [[1.0]])
-    assert np.allclose(cluster_centers(X, part, kind="spatial-median").centers, [[1.0]])
+    assert np.allclose(cluster_centers(X, part, kind="medoid"), [[1.0]])
+    assert np.allclose(cluster_centers(X, part, kind="spatial-median"), [[1.0]])
 
 
 def test_cluster_centers_even_set():
@@ -451,8 +451,8 @@ def test_cluster_centers_even_set():
     # stays on the lower of the tied members
     X = np.array([[0.0], [1.0], [2.0], [9.0]])
     part = Partition(labels=np.zeros(4, dtype=int), K=1, alpha=0.0)
-    assert np.allclose(cluster_centers(X, part, kind="spatial-median").centers, [[1.5]])
-    assert np.allclose(cluster_centers(X, part, kind="medoid").centers, [[1.0]])
+    assert np.allclose(cluster_centers(X, part, kind="spatial-median"), [[1.5]])
+    assert np.allclose(cluster_centers(X, part, kind="medoid"), [[1.0]])
 
 
 def test_medoid_centers_are_members():
@@ -460,7 +460,7 @@ def test_medoid_centers_are_members():
     X = rng.normal(size=(30, 3))
     part = kmeans(X, K=3, seed=0)
     centers = cluster_centers(X, part, kind="medoid")
-    for k, center in enumerate(centers.centers):
+    for k, center in enumerate(centers):
         members = X[part.labels == k]
         assert any(np.array_equal(center, row) for row in members)
 
@@ -469,7 +469,7 @@ def test_cluster_centers_trimmed_rows_excluded():
     X = np.array([[0.0], [1.0], [2.0], [50.0]])
     labels = np.array([0, 0, 0, TRIMMED])
     part = Partition(labels=labels, K=1, alpha=0.25)
-    assert np.allclose(cluster_centers(X, part, kind="medoid").centers, [[1.0]])
+    assert np.allclose(cluster_centers(X, part, kind="medoid"), [[1.0]])
 
 
 def test_cluster_centers_empty_cluster_message():

@@ -15,6 +15,7 @@ from hdbwdm import (
     NumericalError,
     Partition,
     PipelineConfig,
+    UsageError,
     fit_pca,
     generate,
     hd_bwdm,
@@ -344,10 +345,18 @@ def test_fixed_data_sweep_without_pca_runs_no_svd(monkeypatch):
     assert pca_fits == []
 
 
-def test_sweep_pca_beyond_rank_fails_like_a_single_call():
-    # 12 rows reach rank 11: p=11 shares the SVD, p=12 fails per replication
+def test_sweep_pca_beyond_rank_fails_like_a_single_call(monkeypatch):
+    # 12 rows reach rank 11: p=11 shares the SVD, p=12 is refused before any data exists
     cfg = _small_mixture(n_inliers=11, outlier_fraction=0.1)
     cells = run_sweep(cfg, [4, 11], ["pca"], reps=2, alpha=0.1, master_seed=3)
     assert [c.p for c in cells] == [4, 11]
-    with pytest.raises(NumericalError, match=r"p=12, method=pca.*attainable rank"):
+    with pytest.raises(UsageError, match="attainable rank") as single:
+        hd_bwdm(generate(cfg).X, PipelineConfig(K=2, p=12, projection="pca"))
+
+    def no_data(cfg):
+        raise AssertionError("data generated before p was checked")
+
+    monkeypatch.setattr(hdbwdm.harness, "generate", no_data)
+    with pytest.raises(UsageError) as swept:
         run_sweep(cfg, [4, 12], ["pca"], reps=2, alpha=0.1, master_seed=3)
+    assert str(swept.value) == str(single.value)

@@ -30,7 +30,7 @@ from hdbwdm import (
     select_k,
     trimmed_kmeans,
 )
-from hdbwdm.validity import _pair_distances, _sub_seeds
+from hdbwdm.validity import _sub_seeds
 from oracles import direct_bwdm
 
 
@@ -65,20 +65,27 @@ def test_abdm_needs_two_clusters():
         abdm(centers)
 
 
+def _pdist_abdm(C):
+    K = C.shape[0]
+    return float(2.0 * pdist(C).sum() / (K * (K - 1)))
+
+
 def test_pair_distances_are_bitwise_pdist():
-    # abdm sums its center pairs without scipy, in the order pdist uses
+    # abdm sums scipy's pdist kernel over its center pairs, in any memory layout
     rng = np.random.default_rng(11)
     for K in range(2, 21):
         for d in (1, 2, 3, 20, 150, 400, 1000):
             for scale in (1e-8, 1e-3, 1.0, 1e3, 1e100, 1e150):
                 C = rng.standard_normal((K, d)) * scale
-                assert np.array_equal(_pair_distances(C), pdist(C)), (K, d, scale)
+                assert abdm(C) == _pdist_abdm(C), (K, d, scale)
     C = rng.standard_normal((7, 30))
     C[4] = C[1]
     C[5] = 0.0
     C[6] = 0.0
-    assert np.array_equal(_pair_distances(C), pdist(C))
-    assert np.array_equal(_pair_distances(np.zeros((4, 9))), np.zeros(6))
+    assert abdm(C) == _pdist_abdm(C)
+    assert abdm(np.asfortranarray(C)) == _pdist_abdm(C)
+    assert abdm(C[:, ::2]) == _pdist_abdm(np.ascontiguousarray(C[:, ::2]))
+    assert abdm(np.zeros((4, 9))) == 0.0
 
 
 def test_awdm_hand_value():
@@ -411,7 +418,7 @@ def test_select_k_computes_each_center_once(monkeypatch, kind):
     index_report = validity._index_report
     monkeypatch.setattr(
         validity, "_index_report",
-        lambda X, part, cc, *a: scored.append((X, part, cc)) or index_report(X, part, cc, *a),
+        lambda X, part, C, *a: scored.append((X, part, C)) or index_report(X, part, C, *a),
     )
 
     X = _three_blob_2d(3) @ np.random.default_rng(0).normal(size=(2, 12))
@@ -423,9 +430,8 @@ def test_select_k_computes_each_center_once(monkeypatch, kind):
                    for k in range(part.K)}
     assert len(center_calls) == len(member_sets) < sum(ks)
     monkeypatch.undo()
-    for X_p, part, cc in scored:
-        fresh = cluster_centers(X_p, part, kind)
-        assert np.array_equal(cc.centers, fresh.centers)
+    for X_p, part, C in scored:
+        assert np.array_equal(C, cluster_centers(X_p, part, kind))
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.0], ids=["trimmed-kmeans", "kmeans"])
