@@ -2,8 +2,10 @@
 
 Subcommands: generate, bwdm, hdbwdm, diagnostic, sweep, selectk.  Every
 subcommand takes ``--out DIR`` and ``--format csv|json``.  Exit codes:
-0 success, 1 usage error (:class:`UsageError`, raised where the library
-checks the value), 2 data error, 3 numerical failure or out of memory.
+0 success, 1 usage error (an argument the parser refuses, or a
+:class:`UsageError`, raised where the library checks the value), 2 data
+error, 3 numerical failure or out of memory.  Each error is one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ from .reports import (
 from .validity import PipelineConfig, bwdm, hd_bwdm
 
 _CENTER_NAMES = {"medoid": "medoid", "smedian": "spatial-median"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are one ``usage error:`` line and exit 1."""
+
+    def error(self, message) -> NoReturn:
+        print(f"usage error: {self.prog}: {message}", file=sys.stderr)
+        sys.exit(1)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -210,7 +220,7 @@ def _cmd_selectk(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hdbwdm",
         description="Robust cluster validity for high-dimensional data",
     )

@@ -4,8 +4,8 @@ Trimmed k-means alternates concentration steps: assign every point to its
 nearest center, discard the ``ceil(alpha * n)`` points farthest from
 their assigned center, then recompute each center as the mean of its
 retained members.  Iteration stops when no cluster's retained member set
-changed, and a step recomputes the mean and the distance column of only
-the clusters whose members changed: the others are bitwise what a full
+changed, and a step recomputes the mean and the distances of only the
+clusters whose members changed: the others are bitwise what a full
 recompute gives.  With ``alpha = 0`` this is exactly Lloyd's algorithm,
 and ``kmeans`` shares the same code path.
 
@@ -14,12 +14,24 @@ best restart is chosen by the retained within-cluster sum of squared
 distances, ties going to the lowest restart index, so results do not
 depend on evaluation order.
 
+The restarts run in lockstep groups: each k-means++ draw and each
+concentration step makes one ``cdist`` call for the whole group, and one
+vectorized pass each finds the group's nearest centers, trim cuts and
+changed rows.  Every distance, cut, mean and objective is bitwise what the
+restart computes alone: ``cdist`` computes each entry on its own, the
+nearest center and the cut select existing values with the lowest-index
+tie-break, and each mean and objective is still taken over one
+restart's rows.  A group holds as many restarts as keep its
+(restarts, K, n) distance block within ``_BLOCK_FLOATS`` floats, so
+memory stays O(2**15) floats per block however large n gets; at large
+n a group is one restart.
+
 Every fit takes its restarts' seedings from ``_seedings``.  A K scan
 builds them once, at its largest K, and passes them to each K's fit:
 restart ``r`` draws from the same stream for every K and the trim count
 does not depend on K, so the seeding for a smaller K is the leading K
-rows of the largest one, and its first concentration step's distances
-are the leading K columns.
+centers of the largest one, and its first concentration step's distances
+are the leading K distance rows.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ __all__ = [
 TRIMMED = -1  # label sentinel for observations excluded from every cluster
 
 _N_INIT = 10  # restarts per fit
+_BLOCK_FLOATS = 2**15  # floats in one lockstep group's (restarts, K, n) distance block: 256 KB
 
 
 @dataclass(frozen=True)
@@ -88,126 +101,178 @@ class Partition:
         return int((self.labels != TRIMMED).sum())
 
 
-class _RestartFailed(Exception):
-    """A restart emptied a cluster under trimming; it is discarded."""
-
-
 def _lowest(values: np.ndarray, m: int) -> np.ndarray:
-    """Mask of the ``m`` smallest values, ties to the lowest index: a stable argsort's head."""
-    cut = np.partition(values, m - 1)[m - 1]
+    """Mask of the ``m`` smallest values along the last axis, ties to the
+    lowest index: a stable argsort's head, row by row."""
+    cut = np.partition(values, m - 1, axis=-1)[..., m - 1 : m]
     keep = values < cut
-    keep[np.flatnonzero(values == cut)[: m - int(keep.sum())]] = True
+    tied = values == cut
+    keep |= tied & (np.cumsum(tied, axis=-1) <= m - keep.sum(axis=-1, keepdims=True))
     return keep
 
 
-def _kmeanspp_init(X: np.ndarray, K: int, trim_count: int, rng: np.random.Generator):
-    """k-means++ seeding: D^2-weighted draws after a uniform first center.
+def _group_size(n: int, K: int, n_init: int) -> int:
+    """Restarts per lockstep group: as many as fit one ``_BLOCK_FLOATS`` distance block."""
+    return max(1, min(n_init, _BLOCK_FLOATS // (n * K)))
 
-    Under trimming the proposal weights of the ``trim_count`` largest D^2
-    values are zeroed each round.  Plain D^2 weighting concentrates almost
-    all mass on gross outliers, so without this the seeding would place
-    centers on exactly the points the fit is supposed to discard.  With
-    ``trim_count = 0`` this is standard k-means++.
 
-    Returns ``(centers, dist)``: each center's ``cdist`` column is computed
-    once, for the draws' D^2 and as ``dist``, bitwise ``cdist(X, centers, "sqeuclidean")``.
+def _seedings(X: np.ndarray, K: int, trim_count: int, seed: int, restarts):
+    """k-means++ seedings of ``restarts``, drawn in lockstep.
+
+    D^2-weighted draws follow a uniform first center.  Under trimming the
+    proposal weights of the ``trim_count`` largest D^2 values are zeroed
+    each round.  Plain D^2 weighting concentrates almost all mass on gross
+    outliers, so without this the seeding would place centers on exactly
+    the points the fit is supposed to discard.  With ``trim_count = 0``
+    this is standard k-means++.
+
+    Restart ``r`` draws from ``default_rng([seed, r])``; each draw makes
+    one ``cdist`` call for the newest center of every restart.  Returns
+    ``(centers, dist)``, (R, K, dim) and (R, K, n): ``dist[i, k]`` is
+    bitwise ``cdist(X, centers[i, k:k + 1], "sqeuclidean")[:, 0]``.  A fit
+    at any K up to ``K`` takes the leading K centers and distance rows,
+    which are bitwise what seeding at that K computes.
     """
     cdist_sqeuclidean = _distance_kernels().cdist_sqeuclidean  # scipy's, without scipy.spatial
 
+    rngs = [np.random.default_rng([seed, r]) for r in restarts]
     n = X.shape[0]
-    centers = np.empty((K, X.shape[1]))
-    dist = np.empty((n, K))
-    centers[0] = X[int(rng.integers(n))]
+    centers = np.empty((len(rngs), K, X.shape[1]))
+    dist = np.empty((len(rngs), K, n))
+    d2 = np.full((len(rngs), n), np.inf)  # squared distance to the nearest chosen center
+    centers[:, 0] = X[[int(rng.integers(n)) for rng in rngs]]
     for k in range(1, K):
-        dist[:, k - 1] = cdist_sqeuclidean(X, centers[k - 1 : k])[:, 0]
-        d2 = dist[:, :k].min(axis=1)  # squared distance to the nearest chosen center
+        dist[:, k - 1] = cdist_sqeuclidean(centers[:, k - 1], X)
+        np.minimum(d2, dist[:, k - 1], out=d2)
         w = np.where(_lowest(d2, n - trim_count), d2, 0.0) if trim_count else d2
-        total = w.sum()
-        if total > 0.0:
-            idx = int(rng.choice(n, p=w / total))
-        else:  # all candidate points coincide with chosen centers
-            idx = int(rng.integers(n))
-        centers[k] = X[idx]
-    dist[:, K - 1] = cdist_sqeuclidean(X, centers[K - 1 :])[:, 0]
+        total = w.sum(axis=1)
+        for i, rng in enumerate(rngs):
+            if total[i] > 0.0:
+                idx = int(rng.choice(n, p=w[i] / total[i]))
+            else:  # all candidate points coincide with chosen centers
+                idx = int(rng.integers(n))
+            centers[i, k] = X[idx]
+    dist[:, K - 1] = cdist_sqeuclidean(centers[:, K - 1], X)
     return centers, dist
 
 
-def _seedings(X: np.ndarray, K: int, trim_count: int, seed: int, n_init: int):
-    """Yield each restart's k-means++ seeding and its first-step distances.
+def _nearest(d2: np.ndarray):
+    """``(labels, dmin)``, each (g, n): every row's nearest center in each
+    restart of the (g, K, n) block ``d2``, and that center's entry.
 
-    Restart ``r`` draws from ``default_rng([seed, r])``; each item is
-    ``(init, cdist(X, init, "sqeuclidean"))``.  A fit at any K up to
-    ``K`` takes the leading K rows and columns, which are bitwise what
-    seeding at that K computes.
+    A running minimum over K keeps the first of tied centers, as ``argmin``
+    does.
     """
-    for r in range(n_init):
-        yield _kmeanspp_init(X, K, trim_count, np.random.default_rng([seed, r]))
+    dmin = d2[:, 0].copy()
+    labels = np.zeros(dmin.shape, dtype=np.intp)
+    for k in range(1, d2.shape[1]):
+        closer = d2[:, k] < dmin
+        labels[closer] = k
+        np.minimum(dmin, d2[:, k], out=dmin)
+    return labels, dmin
 
 
-def _concentration_fit(X, K, trim_count, centers, max_iter, first_d2):
-    """One restart from ``centers``; returns (labels, retained_mask, objective).
+def _outcome(labels: np.ndarray, retained: np.ndarray, dmin: np.ndarray, K: int):
+    """A stopped restart's ``(labels, retained_mask, objective)``, or why it is discarded."""
+    # a reseed that lands on a duplicate of another center can never win
+    # the tie-break, so a cluster may still be empty at the fixpoint
+    empty = np.flatnonzero(np.bincount(labels[retained], minlength=K) == 0)
+    if empty.size:
+        return f"cluster {empty[0]} empty at convergence"
+    return labels, retained, float(dmin[retained].sum())
 
-    ``first_d2`` is ``cdist(X, centers, "sqeuclidean")``; it may be a view
-    shared with other fits, so it is copied before the first write.
 
-    A step recomputes the mean and the distance column of a cluster only
-    when its retained member set changed since the last step, plus, at
+def _concentration_fit(X, trim_count, centers, first_d2, max_iter):
+    """Concentration steps of a group of restarts, run in lockstep.
+
+    ``centers`` is (g, K, dim) and ``first_d2`` its distances, (g, K, n),
+    as ``_seedings`` returns them; either may be a view shared with other
+    fits, so both are copied before the first write.  Returns one outcome
+    per restart, in order: ``(labels, retained_mask, objective)``, or the
+    message of the failure that discards the restart.
+
+    Each step makes one ``cdist`` call over every (restart, moved cluster)
+    pair, and one vectorized pass each, across the group, finds the
+    nearest centers, the trim cut and the changed rows.  Every value is bitwise what the
+    restart alone gives: ``cdist`` computes each entry on its own, the
+    cut and the nearest center are exact, and each objective and each
+    mean is still taken over one restart's rows.
+
+    A step recomputes the mean and the distances of a cluster only when
+    its retained member set changed since the last step, plus, at
     ``trim_count = 0``, every emptied cluster, whose reseed moves its
-    center on every step.  Every other column is kept: the same rows in
-    the same order give a bitwise-equal mean, and ``cdist`` computes each
-    column on its own, so the kept column is bitwise the fresh one.
+    center on every step.  Every other cluster's distances are kept: the
+    same rows in the same order give a bitwise-equal mean.
 
-    The fit stops when no retained member set changed.  A step whose
-    trimmed rows alone switched nearest center repeats the centers, hence
-    the labels, on the next step, so this returns what a test on labels
-    and retained set together would.
+    A restart stops when none of its retained member sets changed.  A
+    step whose trimmed rows alone switched nearest center repeats the
+    centers, hence the labels, on the next step, so this returns what a
+    test on labels and retained set together would.
     """
     cdist_sqeuclidean = _distance_kernels().cdist_sqeuclidean  # scipy's, without scipy.spatial
 
-    n = X.shape[0]
     centers = centers.copy()
     d2 = first_d2.copy()
-    moved = np.arange(K)
+    g, K, n = d2.shape
+    outcomes = [None] * g
+    ids = np.arange(g)  # the restart behind each row of the working arrays
+    moved = np.ones((g, K), dtype=bool)
     for it in range(max_iter):
         if it:
-            d2[:, moved] = cdist_sqeuclidean(X, centers[moved])
-        labels = d2.argmin(axis=1)
-        dmin = d2[np.arange(n), labels]
-        retained = _lowest(dmin, n - trim_count) if trim_count else np.ones(n, dtype=bool)
-        obj = float(dmin[retained].sum())
+            rows, ks = np.nonzero(moved)
+            d2[rows, ks] = cdist_sqeuclidean(centers[rows, ks], X)
+        labels, dmin = _nearest(d2)
+        retained = _lowest(dmin, n - trim_count) if trim_count else np.ones(dmin.shape, dtype=bool)
         owner = np.where(retained, labels, TRIMMED)
+        stopped = np.zeros(len(ids), dtype=bool)
         if it:
             changed = owner != owner_prev
-            if not changed.any():
-                break
-            moved = np.union1d(owner[changed], owner_prev[changed])
-            moved = moved[moved != TRIMMED]
+            stopped = ~changed.any(axis=1)
+            rows, cols = np.nonzero(changed)
+            moved = np.zeros((len(ids), K + 1), dtype=bool)  # column 0 stands for TRIMMED
+            moved[rows, owner[rows, cols] + 1] = True
+            moved[rows, owner_prev[rows, cols] + 1] = True
+            moved = moved[:, 1:]
             if not trim_count:
-                moved = np.union1d(moved, np.flatnonzero(np.bincount(labels, minlength=K) == 0))
-        for k in moved:
-            members = owner == k
+                offsets = labels + K * np.arange(len(ids))[:, None]
+                moved |= (np.bincount(offsets.ravel(), minlength=len(ids) * K) == 0).reshape(-1, K)
+            moved[stopped] = False
+        last = it == max_iter - 1  # no later step reads this step's centers
+        failed = np.zeros(len(ids), dtype=bool)
+        for i, k in zip(*np.nonzero(moved)):
+            if failed[i]:
+                continue
+            members = owner[i] == k
             if members.any():
-                centers[k] = X[members].mean(axis=0)
+                if not last:
+                    centers[i, k] = X[members].mean(axis=0)
             elif trim_count:
-                raise _RestartFailed(f"cluster {k} lost all retained members")
-            else:
+                outcomes[ids[i]] = f"cluster {k} lost all retained members"
+                failed[i] = True
+            elif not last:
                 # reseed an emptied center at the point farthest from it
-                far = int(((X - centers[k]) ** 2).sum(axis=1).argmax())
-                centers[k] = X[far]
+                far = int(((X - centers[i, k]) ** 2).sum(axis=1).argmax())
+                centers[i, k] = X[far]
+        if last:
+            stopped = ~failed
+        for i in np.flatnonzero(stopped):
+            outcomes[ids[i]] = _outcome(labels[i], retained[i], dmin[i], K)
+        keep = ~(stopped | failed)
+        if not keep.any():
+            break
+        if not keep.all():
+            ids, centers, d2, moved, owner = (a[keep] for a in (ids, centers, d2, moved, owner))
         owner_prev = owner
-    for k in range(K):
-        # a reseed that lands on a duplicate of another center can never win
-        # the tie-break, so a cluster may still be empty at the fixpoint
-        if not (retained & (labels == k)).any():
-            raise _RestartFailed(f"cluster {k} empty at convergence")
-    return labels, retained, obj
+    return outcomes
 
 
 def _fit_best(X, K, alpha, seed, max_iter=100, n_init=_N_INIT, seedings=None):
     """Best restart of a (trimmed) k-means fit.
 
-    ``seedings`` defaults to ``_seedings(X, K, ...)``, drawn one restart
-    at a time; a K scan passes the ones it built at its largest K.
+    The restarts run in lockstep groups of ``_group_size(n, K, n_init)``.
+    ``seedings`` defaults to each group's own ``_seedings`` at K; a K scan
+    passes the ``(centers, dist)`` it built for every restart at its
+    largest K, whose leading K centers and distance rows each fit takes.
     """
     X = _as_points(X, "X")
     n = X.shape[0]
@@ -227,25 +292,25 @@ def _fit_best(X, K, alpha, seed, max_iter=100, n_init=_N_INIT, seedings=None):
     if max_iter < 1:
         raise UsageError(f"max_iter must be >= 1, got {max_iter}")
 
-    if seedings is None:
-        seedings = _seedings(X, K, trim_count, seed, n_init)
+    group = _group_size(n, K, n_init)
     best = None
     failures = []
-    for init, d2 in seedings:
-        try:
-            labels, retained, obj = _concentration_fit(
-                X, K, trim_count, init[:K], max_iter, d2[:, :K]
-            )
-        except _RestartFailed as exc:
-            failures.append(str(exc))
-            continue
-        if best is None or obj < best[0]:  # strict <: ties keep the lowest restart index
-            best = (obj, labels, retained)
+    for start in range(0, n_init, group):
+        restarts = range(start, min(start + group, n_init))
+        if seedings is None:
+            centers, dist = _seedings(X, K, trim_count, seed, restarts)
+        else:
+            centers, dist = (a[restarts.start : restarts.stop, :K] for a in seedings)
+        for outcome in _concentration_fit(X, trim_count, centers, dist, max_iter):
+            if isinstance(outcome, str):
+                failures.append(outcome)
+            elif best is None or outcome[2] < best[2]:  # strict <: ties keep the lowest restart
+                best = outcome
     if best is None:
         raise NumericalError(
             f"all {n_init} restarts failed (K={K}, alpha={alpha}): {failures[-1]}"
         )
-    _, labels, retained = best
+    labels, retained, _ = best
     out = np.where(retained, labels, TRIMMED)
     return Partition(labels=out, K=K, alpha=float(alpha))
 

@@ -19,7 +19,7 @@ from .datagen import MixtureConfig, generate, true_partition
 from .errors import NumericalError, UsageError
 from .projection import fit_pca, fit_random_projection, project
 from .validity import IndexReport, PipelineConfig, SelectKResult, bwdm, hd_bwdm, select_k
-from .validity import _check_truth, _embed, _fit_model, _score
+from .validity import _check_retained, _check_truth, _embed, _fit_model, _score
 
 __all__ = [
     "RepResult",
@@ -87,9 +87,11 @@ def run_diagnostic(cfg: MixtureConfig, p: int, alpha: float, seed: int) -> Diagn
     scaled and sent through one Gaussian random projection, then scored
     with the true labels (outliers pre-trimmed), a plain k-means fit and
     a trimmed k-means fit at ``alpha``.  ``cfg.K_true``, ``p`` and
-    ``alpha`` are checked before any data is drawn.
+    ``alpha`` are checked before any data is drawn, and so is the count of
+    rows the trimmed fit retains, which must exceed ``cfg.K_true``.
     """
     PipelineConfig(K=cfg.K_true, p=p, alpha=alpha)  # raises UsageError on a bad K, p or alpha
+    _check_retained(cfg.n_total, cfg.K_true, alpha)
     ds_seed, proj_seed, km_seed, tk_seed = (derive_seed(seed, i) for i in range(4))
     model = fit_random_projection(cfg.d, p, proj_seed)
     ds = generate(replace(cfg, seed=ds_seed))
@@ -206,8 +208,8 @@ def run_sweep(
     By default every replication reuses one dataset generated from the
     master seed and varies only the projection and clustering seeds;
     ``fresh_data=True`` regenerates the dataset per replication.  Every
-    argument, each p against ``cfg``'s shape included, is checked before
-    any data is drawn.  Failed replications are dropped; a cell with more
+    argument, each p against ``cfg``'s shape and ``cfg.K_true`` against the
+    rows ``alpha`` retains included, is checked before any data is drawn.  Failed replications are dropped; a cell with more
     than 20% failures raises a :class:`NumericalError`.  Replications may
     run across up to ``n_workers`` processes, never more than there are
     replications, without changing any output.
@@ -235,6 +237,7 @@ def run_sweep(
             raise UsageError(
                 f"p={p} exceeds the attainable rank {n - 1} for {n} observations in {d} dimensions"
             )
+    _check_retained(n, cfg.K_true, alpha)
 
     fixed = (None, None) if fresh_data else _embedding(cfg, master_seed, p_values, methods)
     sweep = (cfg, float(alpha), *fixed)

@@ -246,14 +246,29 @@ def _fit_model(Xs: np.ndarray, cfg: PipelineConfig, model=None) -> ProjectionMod
     return model
 
 
+def _check_retained(n: int, K: int, alpha: float) -> None:
+    """Refuse a fit of ``n`` rows at ``K`` and ``alpha`` that would retain at most K rows.
+
+    AWDM divides by ``retained_count - K``, so such a fit cannot be scored.
+    """
+    trim_count = math.ceil(alpha * n)
+    if n - trim_count <= K:
+        raise UsageError(
+            f"trimming {trim_count} of {n} rows leaves {n - trim_count} retained observations; "
+            f"the index needs more than K={K}"
+        )
+
+
 def _check_truth(true_labels: Partition, n: int) -> None:
     if true_labels.n != n:
         raise ValueError(f"true_labels cover {true_labels.n} rows but the data has {n}")
 
 
 def _score(Xp: np.ndarray, cfg: PipelineConfig, true_labels=None) -> IndexReport:
-    """Pipeline stage 3: score ``true_labels``, else the trimmed k-means fit at ``cfg.alpha``."""
+    """Pipeline stage 3: score ``true_labels``, else the trimmed k-means fit at
+    ``cfg.alpha``, refused before it runs if it would retain at most ``cfg.K`` rows."""
     if true_labels is None:
+        _check_retained(Xp.shape[0], cfg.K, cfg.alpha)
         part = trimmed_kmeans(Xp, cfg.K, cfg.alpha, seed=_sub_seeds(cfg.seed)[1])
     else:
         _check_truth(true_labels, Xp.shape[0])
@@ -328,8 +343,8 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
 
     clust_seed = _sub_seeds(cfg_template.seed)[1]
     try:
-        seedings = list(
-            _seedings(Xp, ks[-1], math.ceil(cfg_template.alpha * Xp.shape[0]), clust_seed, _N_INIT)
+        seedings = _seedings(
+            Xp, ks[-1], math.ceil(cfg_template.alpha * Xp.shape[0]), clust_seed, range(_N_INIT)
         )
     except ValueError:  # left to each K's own fit, which reports it as that K's failure
         seedings = None

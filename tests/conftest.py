@@ -27,15 +27,17 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def kmeanspp_calls(monkeypatch):
-    """``(K, trim_count)`` of every k-means++ seeding made while the test runs."""
+    """``(K, trim_count)`` of every restart seeded while the test runs, one entry per restart."""
     import hdbwdm.clustering as clustering
+    import hdbwdm.validity as validity
 
     calls = []
-    original = clustering._kmeanspp_init
+    original = clustering._seedings
 
-    def counting(X, K, trim_count, rng):
-        calls.append((K, trim_count))
-        return original(X, K, trim_count, rng)
+    def counting(X, K, trim_count, seed, restarts):
+        calls.extend((K, trim_count) for _ in restarts)
+        return original(X, K, trim_count, seed, restarts)
 
-    monkeypatch.setattr(clustering, "_kmeanspp_init", counting)
+    monkeypatch.setattr(clustering, "_seedings", counting)
+    monkeypatch.setattr(validity, "_seedings", counting)  # the K scan's own import
     return calls

@@ -283,6 +283,44 @@ def test_flag_only_usage_errors_come_before_any_data(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "diagnostic", "hdbwdm"])
+def test_a_fit_that_retains_at_most_k_rows_is_one_usage_error(
+    tmp_path, capsys, monkeypatch, command
+):
+    # 4 rows at alpha = 0.45 keep 2 = K: AWDM's denominator retained - K would be 0
+    mix = ["--n-inliers", "4", "--d", "5", "--k-true", "2", "--outlier-fraction", "0"]
+    data = tmp_path / "four.csv"
+    write_dataset_csv(np.arange(20.0).reshape(4, 5) ** 1.5, None, data)
+    argv = {
+        "sweep": ["sweep", *mix, "--p-list", "2", "--reps", "2", "--methods", "rp"],
+        "diagnostic": ["diagnostic", *mix, "--p", "2"],
+        "hdbwdm": ["hdbwdm", str(data), "--k", "2", "--p", "2"],
+    }[command]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("reached a step the check should have come before")
+
+    monkeypatch.setattr("hdbwdm.harness.generate", refused)  # the harness draws no data
+    monkeypatch.setattr("hdbwdm.validity.trimmed_kmeans", refused)  # the pipeline fits nothing
+    assert main(argv + ["--alpha", "0.45", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "usage error: trimming 2 of 4 rows leaves 2 retained observations; "
+        "the index needs more than K=2\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--bogus"], "hdbwdm: unrecognized arguments: --bogus"),
+    (["sweep", "--reps", "x"], "hdbwdm sweep: argument --reps: invalid int value: 'x'"),
+])
+def test_argparse_refusals_are_one_usage_error_line(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_selectk_on_a_generated_mixture(tmp_path, capsys):
     code = main([
         "selectk", "--n-inliers", "40", "--d", "20", "--k-true", "3",

@@ -19,11 +19,12 @@ from hdbwdm import (
     robust_scale_fit,
     trimmed_kmeans,
 )
+import hdbwdm.clustering as clustering
 from hdbwdm.clustering import (
-    _RestartFailed,
+    _N_INIT,
     _concentration_fit,
     _fit_best,
-    _kmeanspp_init,
+    _group_size,
     _lowest,
     _seedings,
 )
@@ -174,17 +175,15 @@ def test_concentration_objective_non_increasing():
         X = rng.normal(size=(n, 2))
         K = int(rng.integers(2, 4))
         trim = int(rng.integers(0, n // 5))
-        centers, _ = _kmeanspp_init(X, K, trim, rng)
+        centers, dist = _seedings(X, K, trim, trial, range(1))
         # the objective after t steps is what a fit capped at max_iter=t returns;
         # stop once two caps agree on labels and retained set (the fixpoint)
         prev = None
         for t in range(1, 101):
-            try:
-                labels, retained, obj = _concentration_fit(
-                    X, K, trim, centers, t, cdist(X, centers, "sqeuclidean")
-                )
-            except _RestartFailed:
+            (outcome,) = _concentration_fit(X, trim, centers, dist, t)
+            if isinstance(outcome, str):
                 break  # an emptied cluster is a different contract
+            labels, retained, obj = outcome
             if prev is not None:
                 assert obj <= prev[2] + 1e-9
                 if np.array_equal(labels, prev[0]) and np.array_equal(retained, prev[1]):
@@ -213,15 +212,20 @@ def test_trimming_selection_matches_stable_argsort():
             retained[order[:m]] = True
             assert np.array_equal(keep, retained)
             assert np.array_equal(np.flatnonzero(~keep), np.sort(order[m:]))
+    # a 2-D block cuts each row as the row alone: the lockstep fit's trim cut
+    block = np.array([values for values in arrays if values.size == 25])
+    assert len(block) > 10
+    for m in range(1, 26):
+        assert np.array_equal(_lowest(block, m), [_lowest(values, m) for values in block])
 
 
 def test_kmeanspp_ignores_planted_outliers_in_seeding():
     # with trim_count > 0 the largest squared distances get zero proposal
-    # weight, so a gross outlier can never become a seed
+    # weight, so a gross outlier can never become a D^2-drawn seed (the first
+    # center is a uniform draw, which may land on it)
     X = np.vstack([np.random.default_rng(5).normal(size=(20, 2)), [[1e6, 1e6]]])
-    for seed in range(20):
-        centers, _ = _kmeanspp_init(X, 2, 1, np.random.default_rng(seed))
-        assert not np.any(np.all(centers == [1e6, 1e6], axis=1))
+    centers, _ = _seedings(X, 3, 1, 0, range(100))
+    assert not np.any(np.all(centers[:, 1:] == [1e6, 1e6], axis=2))
 
 
 def _reference_kmeanspp_init(X, K, trim_count, rng):
@@ -262,23 +266,44 @@ def _reference_inputs():
     return inputs + [(_scan_rows(150), (0, 4)), (duplicates, (0, 4))]
 
 
-def test_kmeanspp_matches_the_reference_loop():
-    # the seeding's D^2 comes from cdist columns, the reference's from numpy
-    # row sums; their last bits differ, and no draw may change.  The
+@pytest.fixture
+def seeding_rngs(monkeypatch):
+    """Every generator the package makes with ``np.random.default_rng`` while the test runs."""
+    made = []
+    original = np.random.default_rng
+
+    def recording(seed):
+        made.append(original(seed))
+        return made[-1]
+
+    monkeypatch.setattr(clustering.np.random, "default_rng", recording)
+    return made
+
+
+def test_kmeanspp_matches_the_reference_loop(seeding_rngs):
+    # the lockstep seeding's D^2 comes from cdist rows, the reference's from
+    # numpy row sums; their last bits differ, and no draw may change.  Each
+    # restart must leave its generator where the reference leaves it.  The
     # duplicates matrix makes large K reach the zero-weight draw.
     for X, trims in _reference_inputs():
         for trim in trims:
             for K in range(2, 9):
-                for seed in range(5):
-                    rng = np.random.default_rng([seed, K])
-                    ref_rng = np.random.default_rng([seed, K])
-                    centers, dist = _kmeanspp_init(X, K, trim, rng)
+                seeding_rngs.clear()
+                centers, dist = _seedings(X, K, trim, K, range(5))
+                assert centers.shape == (5, K, X.shape[1]) and dist.shape == (5, K, X.shape[0])
+                assert len(seeding_rngs) == 5
+                for r, rng in enumerate(list(seeding_rngs)):
+                    ref_rng = np.random.default_rng([K, r])
                     assert np.array_equal(
-                        centers,
+                        centers[r],
                         _reference_kmeanspp_init(X, K, trim, ref_rng),
                     )
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
-                    assert np.array_equal(dist, cdist(X, centers, "sqeuclidean"))
+                    assert np.array_equal(dist[r], cdist(X, centers[r], "sqeuclidean").T)
+
+
+class _RestartFailed(Exception):
+    """The reference loop discards a restart that emptied a cluster."""
 
 
 def _reference_concentration_fit(X, K, trim_count, centers, max_iter, first_d2, steps=None):
@@ -319,10 +344,10 @@ def _reference_concentration_fit(X, K, trim_count, centers, max_iter, first_d2, 
     return labels, retained, obj
 
 
-def _outcome(fit, *args, **kwargs):
-    """``(labels, retained, obj)`` of a concentration fit, or its ``_RestartFailed`` message."""
+def _reference_outcome(X, K, trim_count, centers, max_iter, first_d2, steps=None):
+    """``(labels, retained, obj)`` of the reference loop, or its ``_RestartFailed`` message."""
     try:
-        return fit(*args, **kwargs)
+        return _reference_concentration_fit(X, K, trim_count, centers, max_iter, first_d2, steps)
     except _RestartFailed as exc:
         return str(exc)
 
@@ -339,13 +364,14 @@ def _assert_same_outcome(got, expected):
 
 @pytest.fixture
 def cdist_columns(monkeypatch):
-    """Columns of every squared-Euclidean ``cdist`` the package computes while the test runs."""
+    """Centers of every squared-Euclidean ``cdist`` the package computes while the
+    test runs: the clustering passes them first, one distance row each."""
     kernels = _distance_kernels()
     counted = []
     original = kernels.cdist_sqeuclidean
 
     def counting(XA, XB):
-        counted.append(len(XB))
+        counted.append(len(XA))
         return original(XA, XB)
 
     monkeypatch.setattr(kernels, "cdist_sqeuclidean", counting)
@@ -361,18 +387,42 @@ def test_concentration_fit_matches_the_reference_loop(cdist_columns):
         for trim in trims:
             for K in range(2, 9):
                 for seed in range(2):
-                    centers, dist = _kmeanspp_init(X, K, trim, np.random.default_rng([seed, K]))
+                    centers, dist = _seedings(X, K, trim, K, range(seed, seed + 1))
                     steps = []
-                    expected = _outcome(
-                        _reference_concentration_fit, X, K, trim, centers, 100, dist, steps
-                    )
+                    expected = _reference_outcome(X, K, trim, centers[0], 100, dist[0].T, steps)
                     cdist_columns.clear()
-                    got = _outcome(_concentration_fit, X, K, trim, centers, 100, dist)
+                    (got,) = _concentration_fit(X, trim, centers, dist, 100)
                     _assert_same_outcome(got, expected)
                     if X.shape[0] == 550:  # a benchmark mixture
                         full_columns += K * (len(steps) - 1)
                         reused_columns += sum(cdist_columns)
     assert 0 < reused_columns < full_columns
+
+
+def test_lockstep_groups_match_the_reference_loop():
+    # a group's one cdist call, nearest-center pass, trim cut and change test
+    # must give every restart what it gets alone, at every group size and
+    # wherever the step cap stops it; restarts of one group stop at
+    # different steps, and some of them fail
+    failures = 0
+    for X, trims in _reference_inputs():
+        for trim in trims:
+            for K in range(2, 9):
+                centers, dist = _seedings(X, K, trim, K, range(_N_INIT))
+                for max_iter in (1, 2, 3, 100):
+                    expected = [
+                        _reference_outcome(X, K, trim, centers[r], max_iter, dist[r].T)
+                        for r in range(_N_INIT)
+                    ]
+                    failures += sum(isinstance(e, str) for e in expected)
+                    for size in (1, 3, _N_INIT):
+                        got = []
+                        for start in range(0, _N_INIT, size):
+                            group = slice(start, start + size)
+                            got += _concentration_fit(X, trim, centers[group], dist[group], max_iter)
+                        for outcome, reference in zip(got, expected, strict=True):
+                            _assert_same_outcome(outcome, reference)
+    assert failures > 0
 
 
 def test_emptied_cluster_is_reseeded_on_every_step_at_alpha_zero():
@@ -381,16 +431,16 @@ def test_emptied_cluster_is_reseeded_on_every_step_at_alpha_zero():
     # its member set (empty) does not change, yet it must reseed again, at 0
     X = np.array([[0.0], [5.0], [7.0], [8.0]])
     centers = np.zeros((3, 1))
+    d2 = cdist(X, centers, "sqeuclidean")
     steps = []
-    _reference_concentration_fit(X, 3, 0, centers, 100, cdist(X, centers, "sqeuclidean"), steps)
+    _reference_concentration_fit(X, 3, 0, centers, 100, d2, steps)
     assert steps[:2] == [[1, 2], [2]]
     for max_iter in range(1, 6):
-        d2 = cdist(X, centers, "sqeuclidean")
         _assert_same_outcome(
-            _outcome(_concentration_fit, X, 3, 0, centers, max_iter, d2),
-            _outcome(_reference_concentration_fit, X, 3, 0, centers, max_iter, d2),
+            _concentration_fit(X, 0, centers[None], d2.T[None], max_iter)[0],
+            _reference_outcome(X, 3, 0, centers, max_iter, d2),
         )
-    labels, _, obj = _concentration_fit(X, 3, 0, centers, 100, cdist(X, centers, "sqeuclidean"))
+    ((labels, _, obj),) = _concentration_fit(X, 0, centers[None], d2.T[None], 100)
     assert labels.tolist() == [2, 0, 1, 1]
     assert obj == 0.5
 
@@ -402,14 +452,19 @@ def test_seedings_and_first_distances_are_prefixes_of_the_largest_k(p):
     X = _scan_rows(p)
     for alpha in (0.0, 0.1):
         trim = int(np.ceil(alpha * X.shape[0]))
-        shared = list(_seedings(X, 8, trim, 7, 10))
-        assert len(shared) == 10
-        for r, (init8, dist8) in enumerate(shared):
-            assert np.array_equal(dist8, cdist(X, init8, "sqeuclidean"))
-            for K in range(2, 9):
-                init, _ = _kmeanspp_init(X, K, trim, np.random.default_rng([7, r]))
-                assert np.array_equal(init, init8[:K])
-                assert np.array_equal(cdist(X, init, "sqeuclidean"), dist8[:, :K])
+        init8, dist8 = _seedings(X, 8, trim, 7, range(10))
+        assert init8.shape[:2] == dist8.shape[:2] == (10, 8)
+        for r in range(10):
+            assert np.array_equal(dist8[r], cdist(X, init8[r], "sqeuclidean").T)
+        for K in range(2, 9):
+            # a restart seeded alone draws what it draws in the group
+            for r in (0, 9):
+                init, _ = _seedings(X, K, trim, 7, range(r, r + 1))
+                assert np.array_equal(init[0], init8[r, :K])
+            init, _ = _seedings(X, K, trim, 7, range(10))
+            assert np.array_equal(init, init8[:, :K])
+            for r in range(10):
+                assert np.array_equal(cdist(X, init[r], "sqeuclidean").T, dist8[r, :K])
 
 
 def test_fits_inside_a_shared_seeding_equal_standalone_fits(kmeanspp_calls):
@@ -420,7 +475,7 @@ def test_fits_inside_a_shared_seeding_equal_standalone_fits(kmeanspp_calls):
     }
     for alpha, standalone in fits.values():
         kmeanspp_calls.clear()
-        shared = list(_seedings(X, 6, int(np.ceil(alpha * X.shape[0])), 3, 10))
+        shared = clustering._seedings(X, 6, int(np.ceil(alpha * X.shape[0])), 3, range(10))
         for K in range(2, 7):
             got = _fit_best(X, K, alpha, 3, seedings=shared)
             expected = standalone(K)
@@ -429,6 +484,20 @@ def test_fits_inside_a_shared_seeding_equal_standalone_fits(kmeanspp_calls):
         # seeded once at the largest K, then once per restart by each standalone fit
         standalone_seeds = [K for K in range(2, 7) for _ in range(10)]
         assert [K for K, _ in kmeanspp_calls] == [6] * 10 + standalone_seeds
+
+
+def test_shared_seedings_are_unchanged_by_every_fit_of_a_scan():
+    # at 2090 rows a K = 8 group holds one restart, whose slice of the shared
+    # seedings is C-contiguous; no fit may write through it into the next K's seeding
+    X = _scan_rows(5, cfg=MixtureConfig(n_inliers=1900, d=12, K_true=4, seed=1))
+    n = X.shape[0]
+    assert _group_size(n, 8, _N_INIT) == 1 < _group_size(n, 2, _N_INIT) < _N_INIT
+    for alpha in (0.0, 0.1):
+        shared = _seedings(X, 8, int(np.ceil(alpha * n)), 300, range(_N_INIT))
+        before = [a.tobytes() for a in shared]
+        for K in range(8, 1, -1):
+            _fit_best(X, K, alpha, 300, seedings=shared)
+            assert [a.tobytes() for a in shared] == before
 
 
 def test_cluster_centers_singleton():
