@@ -22,9 +22,10 @@ restart computes alone: ``cdist`` computes each entry on its own, the
 nearest center and the cut select existing values with the lowest-index
 tie-break, and each mean and objective is still taken over one
 restart's rows.  A group holds as many restarts as keep its
-(restarts, K, n) distance block within ``_BLOCK_FLOATS`` floats, so
-memory stays O(2**15) floats per block however large n gets; at large
-n a group is one restart.
+(restarts, K, n) distance block within ``_BLOCK_FLOATS`` = 2**15 floats
+(256 KB), and at least one: grouping adds at most 256 KB to a block,
+and once one restart's K * n distances pass that bound a group is one
+restart, with the memory of a fit that runs its restarts one by one.
 
 Every fit takes its restarts' seedings from ``_seedings``.  A K scan
 builds them once, at its largest K, and passes them to each K's fit:
@@ -55,7 +56,7 @@ __all__ = [
 TRIMMED = -1  # label sentinel for observations excluded from every cluster
 
 _N_INIT = 10  # restarts per fit
-_BLOCK_FLOATS = 2**15  # floats in one lockstep group's (restarts, K, n) distance block: 256 KB
+_BLOCK_FLOATS = 2**15  # most floats in a multi-restart group's (restarts, K, n) distances: 256 KB
 
 
 @dataclass(frozen=True)
