@@ -56,6 +56,7 @@ __all__ = [
 TRIMMED = -1  # label sentinel for observations excluded from every cluster
 
 _N_INIT = 10  # restarts per fit
+_MAX_ITER = 100  # concentration steps per restart, at most
 _BLOCK_FLOATS = 2**15  # most floats in a multi-restart group's (restarts, K, n) distances: 256 KB
 
 
@@ -238,23 +239,21 @@ def _concentration_fit(X, trim_count, centers, first_d2, max_iter):
                 offsets = labels + K * np.arange(len(ids))[:, None]
                 moved |= (np.bincount(offsets.ravel(), minlength=len(ids) * K) == 0).reshape(-1, K)
             moved[stopped] = False
-        last = it == max_iter - 1  # no later step reads this step's centers
         failed = np.zeros(len(ids), dtype=bool)
         for i, k in zip(*np.nonzero(moved)):
             if failed[i]:
                 continue
             members = owner[i] == k
             if members.any():
-                if not last:
-                    centers[i, k] = X[members].mean(axis=0)
+                centers[i, k] = X[members].mean(axis=0)
             elif trim_count:
                 outcomes[ids[i]] = f"cluster {k} lost all retained members"
                 failed[i] = True
-            elif not last:
+            else:
                 # reseed an emptied center at the point farthest from it
                 far = int(((X - centers[i, k]) ** 2).sum(axis=1).argmax())
                 centers[i, k] = X[far]
-        if last:
+        if it == max_iter - 1:
             stopped = ~failed
         for i in np.flatnonzero(stopped):
             outcomes[ids[i]] = _outcome(labels[i], retained[i], dmin[i], K)
@@ -267,7 +266,7 @@ def _concentration_fit(X, trim_count, centers, first_d2, max_iter):
     return outcomes
 
 
-def _fit_best(X, K, alpha, seed, max_iter=100, n_init=_N_INIT, seedings=None):
+def _fit_best(X, K, alpha, seed, n_init=_N_INIT, seedings=None):
     """Best restart of a (trimmed) k-means fit.
 
     The restarts run in lockstep groups of ``_group_size(n, K, n_init)``.
@@ -290,8 +289,6 @@ def _fit_best(X, K, alpha, seed, max_iter=100, n_init=_N_INIT, seedings=None):
         )
     if n_init < 1:
         raise UsageError(f"n_init must be >= 1, got {n_init}")
-    if max_iter < 1:
-        raise UsageError(f"max_iter must be >= 1, got {max_iter}")
 
     group = _group_size(n, K, n_init)
     best = None
@@ -302,7 +299,7 @@ def _fit_best(X, K, alpha, seed, max_iter=100, n_init=_N_INIT, seedings=None):
             centers, dist = _seedings(X, K, trim_count, seed, restarts)
         else:
             centers, dist = (a[restarts.start : restarts.stop, :K] for a in seedings)
-        for outcome in _concentration_fit(X, trim_count, centers, dist, max_iter):
+        for outcome in _concentration_fit(X, trim_count, centers, dist, _MAX_ITER):
             if isinstance(outcome, str):
                 failures.append(outcome)
             elif best is None or outcome[2] < best[2]:  # strict <: ties keep the lowest restart
@@ -316,27 +313,27 @@ def _fit_best(X, K, alpha, seed, max_iter=100, n_init=_N_INIT, seedings=None):
     return Partition(labels=out, K=K, alpha=float(alpha))
 
 
-def kmeans(X, K: int, seed: int = 0, max_iter: int = 100, n_init: int = _N_INIT) -> Partition:
+def kmeans(X, K: int, seed: int = 0, n_init: int = _N_INIT) -> Partition:
     """Best-of-``n_init`` Lloyd k-means with k-means++ seeding.
 
     An emptied cluster is reseeded at the point farthest from its previous
-    center.  The restart with the lowest within-cluster sum of squared
-    distances wins.  This is ``trimmed_kmeans(X, K, 0.0, ...)``.
+    center.  Each restart runs at most 100 concentration steps.  The
+    restart with the lowest within-cluster sum of squared distances wins.
+    This is ``trimmed_kmeans(X, K, 0.0, ...)``.
     """
-    return _fit_best(X, K, 0.0, seed, max_iter, n_init)
+    return _fit_best(X, K, 0.0, seed, n_init)
 
 
-def trimmed_kmeans(
-    X, K: int, alpha: float, seed: int = 0, max_iter: int = 100, n_init: int = _N_INIT
-) -> Partition:
+def trimmed_kmeans(X, K: int, alpha: float, seed: int = 0, n_init: int = _N_INIT) -> Partition:
     """Trimmed k-means via concentration steps.
 
-    Exactly ``ceil(alpha * n)`` observations end up trimmed.  A restart
-    that empties a cluster of retained members is discarded; if every
-    restart fails a :class:`NumericalError` is raised.  With
-    ``alpha = 0`` this is :func:`kmeans`.
+    Exactly ``ceil(alpha * n)`` observations end up trimmed.  Each restart
+    runs at most 100 concentration steps.  A restart that empties a
+    cluster of retained members is discarded; if every restart fails a
+    :class:`NumericalError` is raised.  With ``alpha = 0`` this is
+    :func:`kmeans`.
     """
-    return _fit_best(X, K, alpha, seed, max_iter, n_init)
+    return _fit_best(X, K, alpha, seed, n_init)
 
 
 def cluster_centers(X, part: Partition, kind: str = "medoid") -> np.ndarray:

@@ -18,7 +18,7 @@ from .clustering import Partition, kmeans, trimmed_kmeans
 from .datagen import MixtureConfig, generate, true_partition
 from .errors import NumericalError, UsageError
 from .projection import fit_pca, fit_random_projection, project
-from .validity import IndexReport, PipelineConfig, SelectKResult, bwdm, hd_bwdm, select_k
+from .validity import IndexReport, PipelineConfig, SelectKResult, hd_bwdm, select_k
 from .validity import _check_retained, _check_truth, _embed, _fit_model, _score
 
 __all__ = [
@@ -86,11 +86,12 @@ def run_diagnostic(cfg: MixtureConfig, p: int, alpha: float, seed: int) -> Diagn
     derived from ``seed``; ``cfg.seed`` is ignored.  The data is robustly
     scaled and sent through one Gaussian random projection, then scored
     with the true labels (outliers pre-trimmed), a plain k-means fit and
-    a trimmed k-means fit at ``alpha``.  ``cfg.K_true``, ``p`` and
-    ``alpha`` are checked before any data is drawn, and so is the count of
-    rows the trimmed fit retains, which must exceed ``cfg.K_true``.
+    a trimmed k-means fit at ``alpha``, each with medoid centers.
+    ``cfg.K_true``, ``p``, ``alpha`` and ``seed`` are checked before any
+    data is drawn, and so is the count of rows the trimmed fit retains,
+    which must exceed ``cfg.K_true``.
     """
-    PipelineConfig(K=cfg.K_true, p=p, alpha=alpha)  # raises UsageError on a bad K, p or alpha
+    pcfg = PipelineConfig(K=cfg.K_true, p=p, alpha=alpha, seed=seed)
     _check_retained(cfg.n_total, cfg.K_true, alpha)
     ds_seed, proj_seed, km_seed, tk_seed = (derive_seed(seed, i) for i in range(4))
     model = fit_random_projection(cfg.d, p, proj_seed)
@@ -102,10 +103,7 @@ def run_diagnostic(cfg: MixtureConfig, p: int, alpha: float, seed: int) -> Diagn
         "kmeans": kmeans(Xp, cfg.K_true, seed=km_seed),
         "trimmed-kmeans": trimmed_kmeans(Xp, cfg.K_true, alpha, seed=tk_seed),
     }
-    entries = {
-        name: bwdm(Xp, part, "medoid", projection="rp", p=p, seed=seed)
-        for name, part in parts.items()
-    }
+    entries = {name: _score(Xp, pcfg, part) for name, part in parts.items()}
     return DiagnosticReport(
         entries=entries,
         config=replace(cfg, seed=ds_seed),

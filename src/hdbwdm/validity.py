@@ -264,15 +264,14 @@ def _check_truth(true_labels: Partition, n: int) -> None:
         raise ValueError(f"true_labels cover {true_labels.n} rows but the data has {n}")
 
 
-def _score(Xp: np.ndarray, cfg: PipelineConfig, true_labels=None) -> IndexReport:
-    """Pipeline stage 3: score ``true_labels``, else the trimmed k-means fit at
+def _score(Xp: np.ndarray, cfg: PipelineConfig, part=None) -> IndexReport:
+    """Pipeline stage 3: score ``part``, else the trimmed k-means fit at
     ``cfg.alpha``, refused before it runs if it would retain at most ``cfg.K`` rows."""
-    if true_labels is None:
+    if part is None:
         _check_retained(Xp.shape[0], cfg.K, cfg.alpha)
         part = trimmed_kmeans(Xp, cfg.K, cfg.alpha, seed=_sub_seeds(cfg.seed)[1])
     else:
-        _check_truth(true_labels, Xp.shape[0])
-        part = true_labels
+        _check_truth(part, Xp.shape[0])
     return bwdm(Xp, part, cfg.center_kind, projection=cfg.projection, p=cfg.p, seed=cfg.seed)
 
 

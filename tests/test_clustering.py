@@ -90,14 +90,6 @@ def test_kmeans_k_exceeds_n():
         kmeans(np.zeros((3, 2)) + np.arange(3)[:, None], K=4)
 
 
-@pytest.mark.parametrize("fit", [kmeans, lambda X, K, **kw: trimmed_kmeans(X, K, 0.1, **kw)])
-def test_max_iter_below_one_is_refused(fit):
-    X = np.random.default_rng(0).normal(size=(20, 2))
-    for max_iter in (0, -1):
-        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
-            fit(X, 2, max_iter=max_iter)
-
-
 def test_kmeans_survives_duplicate_heavy_input():
     # duplicates force empty-cluster reseeds along the way; four distinct
     # values exist so a full 4-cluster fit is reachable

@@ -1,7 +1,12 @@
-"""The README's Public API list names exactly what the package exports."""
+"""The README's Public API list names exactly what the package exports,
+and every module's ``__all__`` names only what the module defines."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import hdbwdm
 
@@ -15,3 +20,12 @@ def test_readme_public_api_list_matches_all():
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(listed) == set(hdbwdm.__all__)
     assert len(hdbwdm.__all__) == len(set(hdbwdm.__all__))
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(hdbwdm.__path__)))
+def test_every_name_in_a_module_all_exists(module):
+    # the package re-exports seven of these, so a stale entry there already
+    # fails the import; hdbwdm.reports is not re-exported
+    mod = importlib.import_module(f"hdbwdm.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"hdbwdm.{module}.__all__ names missing attributes: {missing}"
