@@ -316,6 +316,9 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split()) or "allocation failed"
         print(f"out of memory: {detail}", file=sys.stderr)
         return 3
+    except ImportError as exc:  # a scipy distance kernel missing or failing its check
+        print(f"import error: {exc}", file=sys.stderr)
+        return 3
 
 
 def run(argv=None) -> NoReturn:

@@ -344,7 +344,7 @@ def cluster_centers(X, part: Partition, kind: str = "medoid") -> np.ndarray:
     ``kind="spatial-median"`` runs the Weiszfeld iteration.
     """
     if kind not in ("medoid", "spatial-median"):
-        raise ValueError(f"kind must be 'medoid' or 'spatial-median', got {kind!r}")
+        raise UsageError(f"kind must be 'medoid' or 'spatial-median', got {kind!r}")
     X = _as_points(X, "X")
     if X.shape[0] != part.n:
         raise ValueError(f"X has {X.shape[0]} rows but the partition labels {part.n}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import types
 from dataclasses import dataclass
@@ -28,8 +29,9 @@ __all__ = [
     "robust_scale_apply",
 ]
 
-_MEDOID_PDIST = 512  # medoid uses pdist below this many rows: O(m^2) memory, under ~3 MB
-_MEDOID_ROWS = 256  # and above it sums cdist in blocks of this many rows: O(256 m)
+_GEMM_CALLING_THREAD = 1 << 18  # OpenBLAS runs a product with m n k <= this on the calling thread
+_MEDOID_SCREEN = 1 << 19  # medoid screens sets with m * m * p above this, where it costs less
+_MEDOID_ROWS = 256  # medoid's exact stage sums cdist over at most this many candidates at once
 
 
 def _scipy_extension(name: str) -> types.ModuleType:
@@ -55,26 +57,40 @@ def _scipy_extension(name: str) -> types.ModuleType:
 
 @functools.cache
 def _distance_kernels() -> types.SimpleNamespace:
-    """scipy's compiled float64 distance kernels, loaded once, on first use.
+    """scipy's compiled float64 distance kernels, loaded and checked once, on first use.
 
     ``cdist_sqeuclidean``, ``cdist_euclidean`` and ``pdist_euclidean`` come
-    from ``scipy/spatial/_distance_pybind`` and ``to_squareform_from_vector_wrap``
-    from ``_distance_wrap``: the functions that ``scipy.spatial.distance``'s
-    ``cdist``, ``pdist`` and ``squareform`` call for float64 input, so the
-    bytes are theirs.  Importing ``scipy.spatial`` itself would also load
-    kd-trees, qhull, ``scipy.linalg``, ``scipy.sparse`` and scipy's own
-    OpenBLAS, about 0.4 s and 30 MB.  These are private scipy names, so
-    ``pyproject.toml`` bounds the scipy versions; a missing file raises
-    ``ImportError`` naming it.
+    from ``scipy/spatial/_distance_pybind``: the functions that
+    ``scipy.spatial.distance``'s ``cdist`` and ``pdist`` call for float64
+    input, so the bytes are theirs.  Importing ``scipy.spatial`` itself
+    would also load kd-trees, qhull, ``scipy.linalg``, ``scipy.sparse`` and
+    scipy's own OpenBLAS, about 0.4 s and 30 MB.  These are private scipy
+    names, so ``pyproject.toml`` bounds the scipy versions, and each kernel
+    runs once on a small fixed input against a numpy reference that gives
+    the same bytes: squared differences added left to right, and their
+    square root.  A missing file or kernel, a changed signature or other
+    bytes raise one ``ImportError`` that names the kernel.
     """
     pybind = _scipy_extension("_distance_pybind")
-    wrap = _scipy_extension("_distance_wrap")
-    return types.SimpleNamespace(
-        cdist_sqeuclidean=pybind.cdist_sqeuclidean,
-        cdist_euclidean=pybind.cdist_euclidean,
-        pdist_euclidean=pybind.pdist_euclidean,
-        to_squareform_from_vector_wrap=wrap.to_squareform_from_vector_wrap,
-    )
+    names = ("cdist_sqeuclidean", "cdist_euclidean", "pdist_euclidean")
+    kernels = types.SimpleNamespace(**{name: getattr(pybind, name, None) for name in names})
+    X = np.sin(np.arange(1.0, 36.0)).reshape(7, 5) * 10.0 ** np.arange(-2, 3)
+    squares = np.add.accumulate((X[:, None] - X[None]) ** 2, axis=2)[..., -1]
+    for name, args, expected in zip(
+        names,
+        [(X, X[:3]), (X, X[:3]), (X,)],
+        [squares[:, :3], np.sqrt(squares[:, :3]), np.sqrt(squares[np.triu_indices(7, 1)])],
+    ):
+        try:
+            same = np.array_equal(getattr(kernels, name)(*args), expected)
+        except TypeError:
+            same = False
+        if not same:
+            from importlib.metadata import version  # slower to import than the check runs
+
+            scipy = version("scipy")
+            raise ImportError(f"scipy {scipy}'s {name} fails its load-time check against numpy")
+    return kernels
 
 
 def _as_points(points, name: str = "points") -> np.ndarray:
@@ -199,29 +215,108 @@ def medoid(points) -> tuple[int, np.ndarray]:
     Ties are broken toward the lowest index.  Returns ``(index, point)``
     where ``point`` is the actual data row (not a copy with new values).
 
-    Below ``_MEDOID_PDIST`` rows each pair's distance is computed once, by
-    ``pdist``, and scipy's ``squareform`` fill makes the square whose rows
-    are summed; larger sets sum ``cdist`` in row blocks to bound memory.
-    Both give bitwise the same row sums.  The kernels are scipy's compiled
-    ones, loaded on first use without importing ``scipy.spatial`` (see
-    ``_distance_kernels``).
+    The answer is the ``argmin`` of the exact row sums ``E_i``, row ``i``
+    of ``cdist(X, X)`` summed, which is bitwise row ``i`` of
+    ``squareform(pdist(X))``.  Sets with ``m * m * p`` above
+    ``_MEDOID_SCREEN`` first pass a certified screen; ``E`` is computed
+    only for the rows it keeps, in ``cdist`` calls of at most
+    ``_MEDOID_ROWS`` rows.  Smaller sets keep every row.  The kernels are
+    scipy's compiled ones, loaded on first use without importing
+    ``scipy.spatial`` (see ``_distance_kernels``).
+
+    *Screen.*  ``Z = X - mean`` (one m x p copy), ``n2_i = z_i . z_i``,
+    and approximate sums ``S_i = sum_j sqrt|n2_i + n2_j - 2 z_i . z_j|``
+    from the upper triangle of the Gram matrix in square tiles of at most
+    ``b = isqrt(_GEMM_CALLING_THREAD / p)`` rows: each product has at most
+    ``_GEMM_CALLING_THREAD`` multiply-adds, so OpenBLAS runs it on the
+    calling thread, and balanced tiles of ``b >= 3`` rows have at least
+    2 rows each, so none becomes a matrix-vector call with its own
+    threading.  A tile off the diagonal adds its row sums to its rows and
+    its column sums to its columns.  Cost: ``m^2 p`` flops, memory ``Z``
+    plus one tile of at most ``_GEMM_CALLING_THREAD / p`` floats.
+
+    *Bound.*  IEEE double arithmetic, round to nearest, gradual underflow:
+    ``fl(a op b) = (a op b)(1 + d) + e``, ``|d| <= u = 2^-53``, and
+    ``|e| <= lam = 2^-1074`` for products only; ``g_k = k u / (1 - k u)``.
+    Let ``T_i = sum_j |x_i - x_j|`` in exact arithmetic and ``r_i = |z_i|``.
+
+    1. Centring: ``z_ik = (x_ik - mu_k)(1 + d)`` for any float ``mu``, so
+       ``| |z_i - z_j| - |x_i - x_j| | <= g_1 (r_i + r_j)``.
+    2. Norms, summed in any order: ``|n2_i - r_i^2| <= g_p r_i^2 + p lam``,
+       so ``r_i <= rho_i = sqrt((n2_i + p lam) / (1 - g_p))``.
+    3. Gram entries, in any order, with or without FMA (Higham 2002,
+       Sec. 3.1, and Cauchy-Schwarz): ``|G_ij - z_i . z_j| <= g_p r_i r_j
+       + p lam``.
+    4. ``q_ij = n2_i + n2_j - 2 G_ij``, in any order, adds two roundings of
+       terms at most ``(1 + g_p)(r_i + r_j)^2``, so
+       ``|q_ij - |z_i - z_j|^2| <= g_(p+2) (r_i + r_j)^2 + 5 p lam``.
+    5. ``| sqrt|q| - sqrt(q*) | <= sqrt|q - q*|`` for ``q* >= 0``, and the
+       root rounds by ``g_1`` of itself, so ``d_ij = fl(sqrt|q_ij|)`` is
+       within ``sqrt(g_(p+2)) (r_i + r_j) + sqrt(5 p lam) + g_1 d_ij`` of
+       ``|z_i - z_j|``, and ``d_ij <= 2 (r_i + r_j) + 2 sqrt(5 p lam)``.
+    6. ``S_i`` adds m non-negative ``d_ij`` in some tree, off by at most
+       ``g_(m-1)`` of their sum.  With ``P = sum_j rho_j``,
+       ``A_i = m rho_i + P`` and ``t = m sqrt(5 p lam)``, steps 1-6 give
+       ``|S_i - T_i| <= Delta_i = (g_1 + sqrt(g_(p+2)) + 2 g_m) A_i
+       + (1 + 2 g_m) t``.
+    7. The exact stage: each ``cdist`` entry is the root of a sum of
+       squared differences (``_distance_kernels`` checks that formula when
+       it loads), within ``g_(p+3) |x_i - x_j| + 2 sqrt(p lam)`` of
+       ``|x_i - x_j|``, and ``E_i`` sums them in some tree.  With
+       ``T_i <= (1 + g_1) A_i``, ``|E_i - T_i| <= eta_i = 2 (g_(p+3) + g_m)
+       A_i + 2 t``.
+
+    Let ``k`` be the lowest index with the least ``E``.  For every ``i``,
+    ``S_k - Delta_k - eta_k <= T_k - eta_k <= E_k <= E_i <= T_i + eta_i <=
+    S_i + Delta_i + eta_i``.  So ``k`` is among the candidates, the rows
+    with ``S_i - B_i <= min_j (S_j + B_j)``, and it is their exact
+    ``argmin``, lowest index first: the answer is the full ``E``'s, at any
+    BLAS thread count or summation order.  ``B`` is twice ``Delta + eta``
+    as evaluated in floating point.  ``B_i >= sqrt(u) (A_i + t)`` and
+    ``S_i <= 3 (A_i + t)``, so the second ``Delta + eta`` covers the rounding of
+    the bound itself (relative ``g_m`` in ``P``, a few ``u`` elsewhere) and
+    of ``S +- B``.  A non-finite ``S`` or ``B`` makes its comparison
+    false, and the row stays a candidate.
     """
     X = _as_points(points)
+    m, p = X.shape
+    cand = np.arange(m) if m * m * p <= _MEDOID_SCREEN else _medoid_candidates(X)
     kernels = _distance_kernels()
-    m = len(X)
-    if m < _MEDOID_PDIST:
-        # the C fill takes contiguous float64 arrays, as a fresh square and
-        # pdist's fresh vector are; the result is bitwise squareform(pdist(X))
-        square = np.zeros((m, m))
-        kernels.to_squareform_from_vector_wrap(square, kernels.pdist_euclidean(X))
-        sums = square.sum(axis=1)
-    else:
-        B = _MEDOID_ROWS
-        sums = np.concatenate(
-            [kernels.cdist_euclidean(X[a : a + B], X).sum(axis=1) for a in range(0, m, B)]
-        )
-    idx = int(np.argmin(sums))  # argmin takes the first minimum: lowest index
+    chunks = [cand[a : a + _MEDOID_ROWS] for a in range(0, cand.size, _MEDOID_ROWS)]
+    sums = np.concatenate([kernels.cdist_euclidean(X[c], X).sum(axis=1) for c in chunks])
+    idx = int(cand[np.argmin(sums)])  # argmin takes the first minimum: lowest index
     return idx, X[idx]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite sums keep their rows
+def _medoid_candidates(X: np.ndarray) -> np.ndarray:
+    """The rows that ``medoid``'s certified screen keeps, ascending; see its docstring."""
+    m, p = X.shape
+    Z = X - X.sum(axis=0) / m
+    n2 = np.einsum("ij,ij->i", Z, Z)
+    b = max(3, math.isqrt(_GEMM_CALLING_THREAD // p))
+    t = -(-m // b)
+    edges = [m * i // t for i in range(t + 1)]  # t tiles of 2..b rows once m >= 2
+    S = np.zeros(m)
+    for i in range(t):
+        a, e = edges[i], edges[i + 1]
+        for c, f in zip(edges[i:-1], edges[i + 1 :]):
+            G = Z[a:e] @ Z[c:f].T
+            G *= -2.0
+            G += n2[a:e, None]
+            G += n2[c:f]
+            np.sqrt(np.abs(G, out=G), out=G)
+            S[a:e] += G.sum(axis=1)
+            if c > a:  # a block off the diagonal stands for its mirror image too
+                S[c:f] += G.sum(axis=0)
+    u, lam = 2.0**-53, 2.0**-1074
+    g = lambda k: k * u / (1 - k * u)  # the docstring's g_k
+    rho = np.sqrt((n2 + p * lam) / (1 - g(p)))
+    A = m * rho + rho.sum()
+    tail = m * math.sqrt(5 * p * lam)
+    delta = (g(1) + math.sqrt(g(p + 2)) + 2 * g(m)) * A + (1 + 2 * g(m)) * tail
+    B = 2 * (delta + 2 * (g(p + 3) + g(m)) * A + 2 * tail)
+    return np.flatnonzero(~(S - B > (S + B).min()))
 
 
 @dataclass(frozen=True)

@@ -296,7 +296,7 @@ def hd_bwdm(
     it must match ``cfg.projection`` and ``cfg.p``.
     """
     if true_labels is None and cfg.K is None:
-        raise ValueError("hd_bwdm needs cfg.K to fit a partition, or true_labels to score")
+        raise UsageError("hd_bwdm needs cfg.K to fit a partition, or true_labels to score")
     Xs = _embed(X_raw, cfg.scale)
     return _score(project(Xs, _fit_model(Xs, cfg, projection_model)), cfg, true_labels)
 

@@ -408,7 +408,7 @@ print(json.dumps({"codes": codes, "seen": seen}))
 
 def test_only_distance_commands_load_scipy(tmp_path):
     # no command imports a scipy package or starts a process pool: hdbwdm's
-    # k-means and medoids load only scipy's two compiled distance extensions
+    # k-means and medoids load only scipy's compiled distance extension
     proc = subprocess.run(
         [sys.executable, "-c", _HEAVY_MODULES, str(tmp_path)], capture_output=True, text=True
     )
@@ -421,3 +421,46 @@ def test_only_distance_commands_load_scipy(tmp_path):
     assert main([*argv, "--out", str(tmp_path / "in-process")]) == 0
     in_process = (tmp_path / "in-process" / "report.csv").read_bytes()
     assert in_process == (tmp_path / "hd" / "report.csv").read_bytes()
+
+
+_BROKEN_KERNEL = """
+import sys, types
+import numpy as np
+import hdbwdm.geometry as geometry
+from hdbwdm.cli import run
+
+real = geometry._scipy_extension
+
+
+def load(name):
+    module = real(name)
+    return types.SimpleNamespace(
+        cdist_sqeuclidean=module.cdist_sqeuclidean,
+        cdist_euclidean=lambda XA, XB: np.nextafter(module.cdist_euclidean(XA, XB), np.inf),
+        pdist_euclidean=module.pdist_euclidean,
+    )
+
+
+geometry._scipy_extension = load
+run(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("command", ["hdbwdm", "bwdm"])
+def test_a_kernel_that_fails_its_check_exits_3_with_one_line(tmp_path, command):
+    import scipy
+
+    assert main(["generate", "--n-inliers", "60", "--d", "6", "--k-true", "3",
+                 "--out", str(tmp_path)]) == 0
+    argv = [command, str(tmp_path / "dataset.csv"), "--out", str(tmp_path / "refused")]
+    if command == "hdbwdm":
+        argv += ["--k", "3", "--p", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _BROKEN_KERNEL, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"import error: scipy {scipy.__version__}'s cdist_euclidean fails its load-time check"
+        " against numpy"
+    ]
+    assert proc.stdout == "" and not (tmp_path / "refused").exists()

@@ -10,6 +10,7 @@ from hdbwdm import (
     NumericalError,
     Partition,
     TRIMMED,
+    UsageError,
     cluster_centers,
     fit_random_projection,
     generate,
@@ -531,6 +532,12 @@ def test_cluster_centers_trimmed_rows_excluded():
     labels = np.array([0, 0, 0, TRIMMED])
     part = Partition(labels=labels, K=1, alpha=0.25)
     assert np.allclose(cluster_centers(X, part, kind="medoid"), [[1.0]])
+
+
+def test_cluster_centers_refuses_an_unknown_kind_as_a_usage_error():
+    part = Partition(labels=np.array([0, 0, 1]), K=2, alpha=0.0)
+    with pytest.raises(UsageError, match="kind must be 'medoid' or 'spatial-median', got 'mean'"):
+        cluster_centers(np.zeros((3, 1)), part, kind="mean")
 
 
 def test_cluster_centers_empty_cluster_message():

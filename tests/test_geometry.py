@@ -1,8 +1,11 @@
 """Distance primitives, spatial median, medoid, robust scaling."""
 
 import math
+import os
 import subprocess
 import sys
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +17,43 @@ from hdbwdm import (
     robust_scale_fit,
     spatial_median,
 )
-from hdbwdm.geometry import _MEDOID_ROWS, _distance_kernels
+import hdbwdm.geometry as geometry
+from hdbwdm import projection
+from hdbwdm.geometry import _MEDOID_ROWS, _MEDOID_SCREEN, _distance_kernels, _medoid_candidates
 from oracles import brute_medoid, distance_sum_objective, grid_spatial_median
+
+
+def pairwise_medoid(X):
+    """The medoid from full distance-matrix row sums, by scipy's public functions.
+
+    ``squareform(pdist(X))`` below 512 rows and ``cdist`` in 256-row blocks
+    from there up: the package's medoid before its screen, kept as the
+    reference.  Returns ``(index, row)``, the lowest index on ties.
+    """
+    from scipy.spatial.distance import cdist, pdist, squareform
+
+    m = len(X)
+    if m < 512:
+        sums = squareform(pdist(X)).sum(axis=1)
+    else:
+        sums = np.concatenate([cdist(X[a : a + 256], X).sum(axis=1) for a in range(0, m, 256)])
+    idx = int(np.argmin(sums))
+    return idx, X[idx]
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """Row counts of the ``cdist_euclidean`` calls of medoid's exact stage while the test runs."""
+    kernels = _distance_kernels()
+    calls = []
+    original = kernels.cdist_euclidean
+
+    def counting(XA, XB):
+        calls.append(len(XA))
+        return original(XA, XB)
+
+    monkeypatch.setattr(kernels, "cdist_euclidean", counting)
+    return calls
 
 
 def test_spatial_median_single_point():
@@ -146,39 +184,43 @@ def test_medoid_matches_exhaustive_oracle():
 
 
 def test_medoid_row_blocks_are_bitwise_full_row_sums():
+    # the exact stage sums cdist over chunks of fancy-indexed candidate rows:
+    # bitwise the full matrix's row sums, whatever the candidates
     from scipy.spatial.distance import cdist
 
-    from hdbwdm.geometry import _MEDOID_ROWS
-
+    kernels = _distance_kernels()
     rng = np.random.default_rng(3)
     for m in (_MEDOID_ROWS - 1, _MEDOID_ROWS, _MEDOID_ROWS + 1):
         X = rng.normal(size=(m, 20))
         # the origin, the center of the cloud, is the medoid: first in the
         # last row alone, then tied with the first row (in different
-        # blocks at m = B + 1)
+        # chunks at m = B + 1)
         X[-1] = 0.0
         assert int(np.argmin(cdist(X, X).sum(axis=1))) == m - 1
         assert medoid(X)[0] == m - 1
         X[0] = 0.0
         full = cdist(X, X).sum(axis=1)
-        blocks = np.concatenate(
-            [cdist(X[a : a + _MEDOID_ROWS], X).sum(axis=1) for a in range(0, m, _MEDOID_ROWS)]
-        )
-        assert np.array_equal(blocks, full)
+        for cand in (np.arange(m), np.array([0, m - 1]), np.arange(1, m, 3), _medoid_candidates(X)):
+            chunks = np.concatenate(
+                [
+                    kernels.cdist_euclidean(X[cand[a : a + _MEDOID_ROWS]], X).sum(axis=1)
+                    for a in range(0, cand.size, _MEDOID_ROWS)
+                ]
+            )
+            assert np.array_equal(chunks, full[cand])
         assert full[0] == full[-1] == full.min()
+        assert {0, m - 1} <= set(_medoid_candidates(X))
         assert medoid(X)[0] == 0
 
 
-@pytest.mark.parametrize("m", [1, 2, 511, 512, 513])
-def test_medoid_pdist_below_the_cap_is_bitwise_the_row_blocks(monkeypatch, m):
+@pytest.mark.parametrize("m", [1, 2, 3, 511, 512, 513])
+def test_medoid_pdist_below_the_cap_is_bitwise_the_row_blocks(exact_rows, m):
+    # the square's rows, the 256-row blocks and the screened exact stage all
+    # give the same sums, and the medoid keeps the lowest index of a tie
     import scipy.spatial.distance as ssd
 
-    from hdbwdm.geometry import _MEDOID_PDIST
-
-    assert _MEDOID_PDIST == 512
     X = np.random.default_rng(m).normal(size=(m, 20))
-    # the origin, the center of the cloud, ties between the first and last
-    # rows: both paths must keep the lowest index
+    # the origin, the center of the cloud, ties between the first and last rows
     X[0] = X[-1] = 0.0
     pair_sums = ssd.squareform(ssd.pdist(X)).sum(axis=1)
     block_sums = np.concatenate(
@@ -187,22 +229,112 @@ def test_medoid_pdist_below_the_cap_is_bitwise_the_row_blocks(monkeypatch, m):
     assert np.array_equal(pair_sums, block_sums)
     assert int(np.argmin(pair_sums)) == int(np.argmin(block_sums)) == 0
 
-    # the loaded kernels give the public square and row blocks byte for byte
+    # the loaded kernels give the public pdist and row blocks byte for byte
     kernels = _distance_kernels()
-    square = np.zeros((m, m))
-    kernels.to_squareform_from_vector_wrap(square, kernels.pdist_euclidean(X))
-    assert np.array_equal(square, ssd.squareform(ssd.pdist(X)))
+    assert np.array_equal(kernels.pdist_euclidean(X), ssd.pdist(X))
     blocks = np.concatenate(
         [kernels.cdist_euclidean(X[a : a + _MEDOID_ROWS], X) for a in range(0, m, _MEDOID_ROWS)]
     )
     assert np.array_equal(blocks, ssd.cdist(X, X))
 
-    pdist_calls = []
-    pdist = kernels.pdist_euclidean
-    monkeypatch.setattr(kernels, "pdist_euclidean", lambda X: pdist_calls.append(len(X)) or pdist(X))
+    exact_rows.clear()
     idx, point = medoid(X)
-    assert pdist_calls == ([m] if m < 512 else [])
     assert idx == 0 and np.array_equal(point, X[0])
+    assert {0, m - 1} <= set(_medoid_candidates(X))
+    if m * m * 20 <= _MEDOID_SCREEN:
+        assert exact_rows == [m]  # every row, unscreened
+    else:
+        assert 2 <= sum(exact_rows) < 10
+
+
+def _medoid_inputs():
+    """``(name, X)``: the medoid cases the screen must pass, small and large."""
+    rng = np.random.default_rng(21)
+    yield "singleton", np.array([[5.0]])
+    yield "three-points", np.array([[0.0], [1.0], [2.0]])
+    yield "tie", np.array([[0.0], [0.0], [100.0]])
+    yield "even-set", np.array([[0.0], [1.0], [2.0], [9.0]])
+    for i in range(15):
+        yield f"oracle-{i}", rng.normal(size=(int(rng.integers(2, 51)), int(rng.integers(1, 4))))
+    for m in (1, 2, 3, 511, 512, 513):
+        yield f"m={m}", rng.normal(size=(m, 20))
+    X = np.round(rng.normal(size=(700, 3)), 1)  # many duplicate rows
+    X[-1] = X[pairwise_medoid(X)[0]]  # a duplicate of the medoid, so its sum ties exactly
+    yield "rounded-duplicates", X
+    yield "shifted-by-1e6", rng.normal(size=(800, 5)) + 1e6
+    yield "p=1", rng.normal(size=(1000, 1))
+    yield "2d-tiles", rng.normal(size=(500, 300))  # m p > 2^17: more than one tile a side
+    yield "many-tiles", rng.normal(size=(1990, 20)) * rng.uniform(0.1, 10.0, size=20)
+    yield "identical-rows", np.full((600, 4), 3.25)
+    yield "overflowing", rng.normal(size=(600, 5)) * 1e200  # every distance is inf
+
+
+@pytest.mark.parametrize("name, X", [pytest.param(n, X, id=n) for n, X in _medoid_inputs()])
+def test_medoid_is_the_pairwise_reference_and_the_screen_keeps_it(name, X):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow in the screen is expected, not reported
+        idx, point = medoid(X)
+    ref_idx, ref_point = pairwise_medoid(X)
+    assert idx == ref_idx and np.array_equal(point, ref_point)
+    assert point is not ref_point and np.shares_memory(point, X)
+    cand = _medoid_candidates(X)  # the screen also runs below _MEDOID_SCREEN here
+    assert ref_idx in cand and np.all(np.diff(cand) > 0)
+    if name == "rounded-duplicates":
+        assert idx < len(X) - 1 and np.array_equal(X[idx], X[-1]) and len(X) - 1 in cand
+
+
+def test_medoid_of_identical_rows_keeps_every_row_in_chunks(exact_rows):
+    idx, point = medoid(np.full((600, 4), 3.25))
+    assert idx == 0 and exact_rows == [_MEDOID_ROWS, _MEDOID_ROWS, 600 - 2 * _MEDOID_ROWS]
+
+
+@pytest.mark.parametrize("nudge", [1e-13, -1e-13])
+def test_medoid_near_tie_is_decided_by_the_exact_sums(exact_rows, nudge):
+    # row 1 is the medoid's twin moved by 1e-13 in one coordinate: the two
+    # exact sums differ in their last bits, both rows pass the screen, and
+    # the lower exact sum wins whichever index it has
+    from scipy.spatial.distance import cdist
+
+    X = np.random.default_rng(7).normal(size=(600, 10))
+    k = pairwise_medoid(X)[0]
+    X[1] = X[k]
+    X[1, 0] += nudge
+    sums = cdist(X, X).sum(axis=1)
+    assert sums[1] != sums[k] and abs(sums[1] - sums[k]) < 1e-13 * sums[k]
+    assert {1, k} <= set(_medoid_candidates(X))
+    exact_rows.clear()
+    idx, _ = medoid(X)
+    assert idx == pairwise_medoid(X)[0] == (1 if sums[1] < sums[k] else k)
+    assert sum(exact_rows) >= 2
+
+
+_ONE_THREAD = """
+import os
+import numpy as np
+from hdbwdm import projection
+from hdbwdm.geometry import medoid
+
+rng = np.random.default_rng(0)
+clusters = [rng.normal(size=shape) for shape in ((100, 400), (300, 300), (1990, 20), (4400, 100))]
+projection._park_blas()
+before = len(os.listdir("/proc/self/task"))
+for X in clusters:
+    medoid(X)
+print(before, len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_the_medoid_screen_never_starts_the_blas_pool():
+    # every product of the screen stays under OpenBLAS's threading cutoff, so
+    # after the pool is parked the process keeps its one OS thread
+    if projection._blas_shutdown() is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS whose pool _park_blas stops")
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_THREAD], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
 
 
 def test_distance_kernels_are_bitwise_the_public_functions():
@@ -222,6 +354,38 @@ def test_distance_kernels_are_bitwise_the_public_functions():
     assert np.array_equal(kernels.pdist_euclidean(X[::2, ::3]), ssd.pdist(X[::2, ::3]))
 
 
+def _one_kernel_swapped(monkeypatch, name, kernel):
+    """Make the next ``_distance_kernels`` load see ``kernel`` in place of scipy's ``name``."""
+    loaded = vars(_distance_kernels())
+    monkeypatch.setattr(
+        geometry, "_scipy_extension", lambda ext: types.SimpleNamespace(**{**loaded, name: kernel})
+    )
+    geometry._distance_kernels.cache_clear()
+    return loaded[name]
+
+
+@pytest.mark.parametrize("name", ["cdist_sqeuclidean", "cdist_euclidean", "pdist_euclidean"])
+@pytest.mark.parametrize("fault", ["other bytes", "other signature", "missing"])
+def test_a_kernel_that_fails_its_check_is_one_import_error(monkeypatch, name, fault):
+    import scipy
+
+    def nudged(*args):
+        return np.nextafter(real(*args), np.inf)  # one ulp up, every entry
+
+    def changed(XA, XB, out):
+        return real(XA, XB, out=out)
+
+    swapped = {"other bytes": nudged, "other signature": changed, "missing": None}[fault]
+    real = _one_kernel_swapped(monkeypatch, name, swapped)
+    try:
+        with pytest.raises(ImportError) as err:
+            _distance_kernels()
+    finally:
+        geometry._distance_kernels.cache_clear()
+    message = str(err.value)
+    assert message == f"scipy {scipy.__version__}'s {name} fails its load-time check against numpy"
+
+
 _LOAD_ORDER = """
 import hashlib, sys
 import numpy as np
@@ -232,13 +396,11 @@ C = X[[5, 50, 500]]
 def kernels():
     from hdbwdm.geometry import _distance_kernels
     k = _distance_kernels()
-    square = np.zeros((300, 300))
-    k.to_squareform_from_vector_wrap(square, k.pdist_euclidean(X[:300]))
-    return k.cdist_sqeuclidean(X, C).tobytes() + square.tobytes()
+    return k.cdist_sqeuclidean(X, C).tobytes() + k.pdist_euclidean(X[:300]).tobytes()
 
 def public():
-    from scipy.spatial.distance import cdist, pdist, squareform
-    return cdist(X, C, "sqeuclidean").tobytes() + squareform(pdist(X[:300])).tobytes()
+    from scipy.spatial.distance import cdist, pdist
+    return cdist(X, C, "sqeuclidean").tobytes() + pdist(X[:300]).tobytes()
 
 routes = [kernels, public] if sys.argv[1] == "kernels first" else [public, kernels]
 print(*(hashlib.sha256(route()).hexdigest() for route in routes * 2))
@@ -246,8 +408,8 @@ print(*(hashlib.sha256(route()).hexdigest() for route in routes * 2))
 
 
 def test_the_kernels_and_scipy_spatial_load_in_either_order():
-    # the loader and scipy.spatial.distance each load the same two extension
-    # files; whichever comes first, both routes give the same bytes
+    # the loader and scipy.spatial.distance each load the same extension
+    # file; whichever comes first, both routes give the same bytes
     digests = set()
     for order in ("kernels first", "scipy.spatial first"):
         proc = subprocess.run(

@@ -16,6 +16,7 @@ from hdbwdm import (
     PipelineConfig,
     ProjectionModel,
     TRIMMED,
+    UsageError,
     abdm,
     awdm,
     bwdm,
@@ -335,7 +336,7 @@ def test_pipeline_config_k_is_needed_only_to_fit():
     assert res.reports == select_k(X, range(2, 5), replace(template, K=2)).reports
     truth = Partition(labels=np.repeat([0, 1, 2], 30), K=3, alpha=0.0)
     assert hd_bwdm(X, template, truth) == hd_bwdm(X, replace(template, K=2), truth)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(UsageError) as err:  # a value the caller chose: exit 1 on the CLI
         hd_bwdm(X, template)
     assert "\n" not in str(err.value) and "K" in str(err.value)
 
