@@ -266,8 +266,27 @@ def _concentration_fit(X, trim_count, centers, first_d2, max_iter):
     return outcomes
 
 
-def _fit_best(X, K, alpha, seed, n_init=_N_INIT, seedings=None):
-    """Best restart of a (trimmed) k-means fit.
+def kmeans(X, K: int, seed: int = 0, n_init: int = _N_INIT) -> Partition:
+    """Best-of-``n_init`` Lloyd k-means with k-means++ seeding.
+
+    An emptied cluster is reseeded at the point farthest from its previous
+    center.  Each restart runs at most 100 concentration steps.  The
+    restart with the lowest within-cluster sum of squared distances wins.
+    This is ``trimmed_kmeans(X, K, 0.0, ...)``.
+    """
+    return trimmed_kmeans(X, K, 0.0, seed, n_init)
+
+
+def trimmed_kmeans(
+    X, K: int, alpha: float, seed: int = 0, n_init: int = _N_INIT, *, seedings=None
+) -> Partition:
+    """Trimmed k-means via concentration steps.
+
+    Exactly ``ceil(alpha * n)`` observations end up trimmed.  Each restart
+    runs at most 100 concentration steps.  A restart that empties a
+    cluster of retained members is discarded; if every restart fails a
+    :class:`NumericalError` is raised.  With ``alpha = 0`` this is
+    :func:`kmeans`.
 
     The restarts run in lockstep groups of ``_group_size(n, K, n_init)``.
     ``seedings`` defaults to each group's own ``_seedings`` at K; a K scan
@@ -313,52 +332,25 @@ def _fit_best(X, K, alpha, seed, n_init=_N_INIT, seedings=None):
     return Partition(labels=out, K=K, alpha=float(alpha))
 
 
-def kmeans(X, K: int, seed: int = 0, n_init: int = _N_INIT) -> Partition:
-    """Best-of-``n_init`` Lloyd k-means with k-means++ seeding.
-
-    An emptied cluster is reseeded at the point farthest from its previous
-    center.  Each restart runs at most 100 concentration steps.  The
-    restart with the lowest within-cluster sum of squared distances wins.
-    This is ``trimmed_kmeans(X, K, 0.0, ...)``.
-    """
-    return _fit_best(X, K, 0.0, seed, n_init)
-
-
-def trimmed_kmeans(X, K: int, alpha: float, seed: int = 0, n_init: int = _N_INIT) -> Partition:
-    """Trimmed k-means via concentration steps.
-
-    Exactly ``ceil(alpha * n)`` observations end up trimmed.  Each restart
-    runs at most 100 concentration steps.  A restart that empties a
-    cluster of retained members is discarded; if every restart fails a
-    :class:`NumericalError` is raised.  With ``alpha = 0`` this is
-    :func:`kmeans`.
-    """
-    return _fit_best(X, K, alpha, seed, n_init)
-
-
-def cluster_centers(X, part: Partition, kind: str = "medoid") -> np.ndarray:
+def cluster_centers(X, part: Partition, kind: str = "medoid", *, memo=None) -> np.ndarray:
     """Per-cluster robust centers over the retained members, as a (K, dim) array.
 
     ``kind="medoid"`` picks the member minimizing the within-cluster
     distance sum (the stored row is bit-identical to that member);
     ``kind="spatial-median"`` runs the Weiszfeld iteration.
-    """
-    if kind not in ("medoid", "spatial-median"):
-        raise UsageError(f"kind must be 'medoid' or 'spatial-median', got {kind!r}")
-    X = _as_points(X, "X")
-    if X.shape[0] != part.n:
-        raise ValueError(f"X has {X.shape[0]} rows but the partition labels {part.n}")
-    return _cluster_centers(X, part, kind, {})
-
-
-def _cluster_centers(X: np.ndarray, part: Partition, kind: str, memo: dict) -> np.ndarray:
-    """``cluster_centers`` on checked input, reusing the centers in ``memo``.
 
     ``memo`` maps the bytes of a cluster's member indices to its center.
     A center depends only on its member rows, so one memo may serve every
     partition of the same ``X`` with the same ``kind``; a K scan passes one
     for its whole call, since splitting one cluster leaves the others as they were.
     """
+    if kind not in ("medoid", "spatial-median"):
+        raise UsageError(f"kind must be 'medoid' or 'spatial-median', got {kind!r}")
+    X = _as_points(X, "X")
+    if X.shape[0] != part.n:
+        raise ValueError(f"X has {X.shape[0]} rows but the partition labels {part.n}")
+    if memo is None:
+        memo = {}
     centers = np.empty((part.K, X.shape[1]))
     for k in range(part.K):
         idx = np.flatnonzero(part.labels == k)

@@ -50,13 +50,22 @@ class MixtureConfig:
             raise UsageError(f"d must be >= 1, got {self.d}")
         if not 1 <= self.K_true <= self.n_inliers:
             raise UsageError(f"need 1 <= K_true <= n_inliers, got K_true={self.K_true}")
-        if self.within_sd <= 0:
-            raise UsageError(f"within_sd must be > 0, got {self.within_sd}")
+        if not 0 < self.within_sd < math.inf:
+            raise UsageError(f"within_sd must be finite and > 0, got {self.within_sd}")
+        if not math.isfinite((self.K_true - 1) * self.center_spacing):
+            raise UsageError(
+                f"the largest cluster mean (K_true - 1) * center_spacing must be finite, "
+                f"got center_spacing={self.center_spacing} with K_true={self.K_true}"
+            )
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise UsageError(f"outlier_fraction must lie in [0, 1), got {self.outlier_fraction}")
         lo, hi = self.outlier_range
         if not lo < hi:
             raise UsageError(f"outlier_range must be (lo, hi) with lo < hi, got {self.outlier_range}")
+        if not math.isfinite(hi - lo):  # also false for an infinite bound
+            raise UsageError(
+                f"outlier_range needs finite bounds and a finite width hi - lo, got {self.outlier_range}"
+            )
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
 

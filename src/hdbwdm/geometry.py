@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 _GEMM_CALLING_THREAD = 1 << 18  # OpenBLAS runs a product with m n k <= this on the calling thread
-_MEDOID_SCREEN = 1 << 19  # medoid screens sets with m * m * p above this, where it costs less
 _MEDOID_ROWS = 256  # medoid's exact stage sums cdist over at most this many candidates at once
 
 
@@ -217,12 +216,11 @@ def medoid(points) -> tuple[int, np.ndarray]:
 
     The answer is the ``argmin`` of the exact row sums ``E_i``, row ``i``
     of ``cdist(X, X)`` summed, which is bitwise row ``i`` of
-    ``squareform(pdist(X))``.  Sets with ``m * m * p`` above
-    ``_MEDOID_SCREEN`` first pass a certified screen; ``E`` is computed
-    only for the rows it keeps, in ``cdist`` calls of at most
-    ``_MEDOID_ROWS`` rows.  Smaller sets keep every row.  The kernels are
-    scipy's compiled ones, loaded on first use without importing
-    ``scipy.spatial`` (see ``_distance_kernels``).
+    ``squareform(pdist(X))``.  Every set first passes a certified screen;
+    ``E`` is computed only for the rows it keeps, in ``cdist`` calls of at
+    most ``_MEDOID_ROWS`` rows.  The kernels are scipy's compiled ones,
+    loaded on first use without importing ``scipy.spatial`` (see
+    ``_distance_kernels``).
 
     *Screen.*  ``Z = X - mean`` (one m x p copy), ``n2_i = z_i . z_i``,
     and approximate sums ``S_i = sum_j sqrt|n2_i + n2_j - 2 z_i . z_j|``
@@ -279,8 +277,7 @@ def medoid(points) -> tuple[int, np.ndarray]:
     false, and the row stays a candidate.
     """
     X = _as_points(points)
-    m, p = X.shape
-    cand = np.arange(m) if m * m * p <= _MEDOID_SCREEN else _medoid_candidates(X)
+    cand = _medoid_candidates(X)
     kernels = _distance_kernels()
     chunks = [cand[a : a + _MEDOID_ROWS] for a in range(0, cand.size, _MEDOID_ROWS)]
     sums = np.concatenate([kernels.cdist_euclidean(X[c], X).sum(axis=1) for c in chunks])

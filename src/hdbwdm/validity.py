@@ -13,19 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clustering import (
-    _N_INIT,
-    Partition,
-    _cluster_centers,
-    _fit_best,
-    _seedings,
-    cluster_centers,
-    trimmed_kmeans,
-)
+from .clustering import _N_INIT, Partition, _seedings, cluster_centers, trimmed_kmeans
 from .errors import NumericalError, UsageError
 from .geometry import _as_points, _distance_kernels, robust_scale_apply, robust_scale_fit
 from .projection import ProjectionModel, fit_pca, fit_random_projection, project
@@ -138,27 +130,18 @@ def awdm(X, part: Partition, centers) -> float:
     return total / (retained - part.K)
 
 
-def bwdm(
-    X,
-    part: Partition,
-    center_kind: str = "spatial-median",
-    *,
-    projection: str = "none",
-    p: int | None = None,
-    seed: int | None = None,
-) -> IndexReport:
+def bwdm(X, part: Partition, center_kind: str = "spatial-median") -> IndexReport:
     """BWDM index of a partition: ``abdm / awdm`` with robust centers.
 
     Centers default to spatial medians; pass ``center_kind="medoid"``
     for the medoid variant used by the high-dimensional pipeline.  A zero
     AWDM (every retained observation sitting on its center) yields the
-    +inf sentinel with ``degenerate=True`` instead of an error.
-
-    The keyword-only arguments only annotate the report's provenance
-    fields; they do not change the computation.
+    +inf sentinel with ``degenerate=True`` instead of an error.  The
+    report's provenance is the original space: ``projection="none"``,
+    ``p=None``, ``seed=None``.
     """
     C = cluster_centers(X, part, kind=center_kind)
-    return _index_report(X, part, C, center_kind, projection, p, seed)
+    return _index_report(X, part, C, center_kind, "none", None, None)
 
 
 def _index_report(X, part: Partition, C: np.ndarray, kind, projection, p, seed) -> IndexReport:
@@ -264,15 +247,19 @@ def _check_truth(true_labels: Partition, n: int) -> None:
         raise ValueError(f"true_labels cover {true_labels.n} rows but the data has {n}")
 
 
-def _score(Xp: np.ndarray, cfg: PipelineConfig, part=None) -> IndexReport:
+def _score(Xp: np.ndarray, cfg: PipelineConfig, part=None, *, seedings=None, memo=None) -> IndexReport:
     """Pipeline stage 3: score ``part``, else the trimmed k-means fit at
-    ``cfg.alpha``, refused before it runs if it would retain at most ``cfg.K`` rows."""
+    ``cfg.alpha``, refused before it runs if it would retain at most ``cfg.K`` rows.
+
+    A K scan passes its shared ``seedings`` to ``trimmed_kmeans`` and its
+    center ``memo`` to ``cluster_centers``."""
     if part is None:
         _check_retained(Xp.shape[0], cfg.K, cfg.alpha)
-        part = trimmed_kmeans(Xp, cfg.K, cfg.alpha, seed=_sub_seeds(cfg.seed)[1])
+        part = trimmed_kmeans(Xp, cfg.K, cfg.alpha, seed=_sub_seeds(cfg.seed)[1], seedings=seedings)
     else:
         _check_truth(part, Xp.shape[0])
-    return bwdm(Xp, part, cfg.center_kind, projection=cfg.projection, p=cfg.p, seed=cfg.seed)
+    C = cluster_centers(Xp, part, cfg.center_kind, memo=memo)
+    return _index_report(Xp, part, C, cfg.center_kind, cfg.projection, cfg.p, cfg.seed)
 
 
 def hd_bwdm(
@@ -349,14 +336,9 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
         seedings = None
     reports: dict[int, IndexReport] = {}
     memo: dict = {}  # member-index bytes -> center, for this call only
-    alpha, kind = cfg_template.alpha, cfg_template.center_kind
     for k in ks:
         try:
-            part = _fit_best(Xp, k, alpha, clust_seed, seedings=seedings)
-            centers = _cluster_centers(Xp, part, kind, memo)
-            reports[k] = _index_report(
-                Xp, part, centers, kind, cfg_template.projection, cfg_template.p, cfg_template.seed
-            )
+            reports[k] = _score(Xp, replace(cfg_template, K=k), seedings=seedings, memo=memo)
         except (ValueError, NumericalError) as exc:
             warnings.warn(f"K={k} skipped: {exc}", stacklevel=2)
     if not reports:

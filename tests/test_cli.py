@@ -283,6 +283,26 @@ def test_flag_only_usage_errors_come_before_any_data(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--spacing", "nan"],
+    ["generate", "--within-sd", "inf"],
+    ["generate", "--outlier-lo=-1e308", "--outlier-hi=1e308"],
+    ["diagnostic", "--spacing", "nan"],
+], ids=["nan-spacing", "infinite-sd", "infinite-outlier-width", "diagnostic-nan-spacing"])
+def test_a_mixture_whose_draws_cannot_be_finite_is_one_usage_error(
+    tmp_path, capsys, monkeypatch, argv
+):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data drawn before the values were checked")
+
+    monkeypatch.setattr("hdbwdm.harness.generate", no_data)
+    monkeypatch.setattr("hdbwdm.cli.generate", no_data)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: "), err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "diagnostic", "hdbwdm"])
 def test_a_fit_that_retains_at_most_k_rows_is_one_usage_error(
     tmp_path, capsys, monkeypatch, command

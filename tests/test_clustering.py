@@ -24,7 +24,6 @@ import hdbwdm.clustering as clustering
 from hdbwdm.clustering import (
     _N_INIT,
     _concentration_fit,
-    _fit_best,
     _group_size,
     _lowest,
     _seedings,
@@ -470,7 +469,7 @@ def test_fits_inside_a_shared_seeding_equal_standalone_fits(kmeanspp_calls):
         kmeanspp_calls.clear()
         shared = clustering._seedings(X, 6, int(np.ceil(alpha * X.shape[0])), 3, range(10))
         for K in range(2, 7):
-            got = _fit_best(X, K, alpha, 3, seedings=shared)
+            got = trimmed_kmeans(X, K, alpha, 3, seedings=shared)
             expected = standalone(K)
             assert np.array_equal(got.labels, expected.labels)
             assert (got.K, got.alpha) == (expected.K, expected.alpha)
@@ -489,7 +488,7 @@ def test_shared_seedings_are_unchanged_by_every_fit_of_a_scan():
         shared = _seedings(X, 8, int(np.ceil(alpha * n)), 300, range(_N_INIT))
         before = [a.tobytes() for a in shared]
         for K in range(8, 1, -1):
-            _fit_best(X, K, alpha, 300, seedings=shared)
+            trimmed_kmeans(X, K, alpha, 300, seedings=shared)
             assert [a.tobytes() for a in shared] == before
 
 

@@ -10,6 +10,7 @@ from hdbwdm import (
     MixtureConfig,
     OUTLIER,
     TRIMMED,
+    UsageError,
     generate,
     read_dataset_csv,
     true_partition,
@@ -129,6 +130,21 @@ def test_config_validation():
         MixtureConfig(outlier_range=(5.0, 5.0))
     with pytest.raises(ValueError, match="seed"):
         MixtureConfig(seed=-1)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"within_sd": math.nan}, "within_sd"),
+    ({"within_sd": math.inf}, "within_sd"),
+    ({"center_spacing": math.nan}, "center_spacing"),
+    ({"center_spacing": math.inf}, "center_spacing"),
+    ({"center_spacing": 1e308}, "center_spacing"),  # the largest mean, 4 * 1e308, overflows
+    ({"K_true": 1, "center_spacing": math.inf}, "center_spacing"),  # its one mean, 0 * inf, is nan
+    ({"outlier_range": (-math.inf, 100.0)}, "outlier_range"),
+    ({"outlier_range": (-1e308, 1e308)}, "outlier_range"),  # finite bounds, infinite width
+])
+def test_a_mixture_whose_draws_cannot_be_finite_is_refused(settings, message):
+    with pytest.raises(UsageError, match=message):
+        MixtureConfig(**settings)
 
 
 def test_true_partition_maps_outliers_to_trimmed():

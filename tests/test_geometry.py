@@ -19,7 +19,7 @@ from hdbwdm import (
 )
 import hdbwdm.geometry as geometry
 from hdbwdm import projection
-from hdbwdm.geometry import _MEDOID_ROWS, _MEDOID_SCREEN, _distance_kernels, _medoid_candidates
+from hdbwdm.geometry import _MEDOID_ROWS, _distance_kernels, _medoid_candidates
 from oracles import brute_medoid, distance_sum_objective, grid_spatial_median
 
 
@@ -240,11 +240,10 @@ def test_medoid_pdist_below_the_cap_is_bitwise_the_row_blocks(exact_rows, m):
     exact_rows.clear()
     idx, point = medoid(X)
     assert idx == 0 and np.array_equal(point, X[0])
-    assert {0, m - 1} <= set(_medoid_candidates(X))
-    if m * m * 20 <= _MEDOID_SCREEN:
-        assert exact_rows == [m]  # every row, unscreened
-    else:
-        assert 2 <= sum(exact_rows) < 10
+    cand = _medoid_candidates(X)
+    assert {0, m - 1} <= set(cand)
+    # every set is screened, the smallest too: exact sums for the kept rows only
+    assert sum(exact_rows) == cand.size and min(m, 2) <= cand.size < 10
 
 
 def _medoid_inputs():
@@ -277,7 +276,7 @@ def test_medoid_is_the_pairwise_reference_and_the_screen_keeps_it(name, X):
     ref_idx, ref_point = pairwise_medoid(X)
     assert idx == ref_idx and np.array_equal(point, ref_point)
     assert point is not ref_point and np.shares_memory(point, X)
-    cand = _medoid_candidates(X)  # the screen also runs below _MEDOID_SCREEN here
+    cand = _medoid_candidates(X)
     assert ref_idx in cand and np.all(np.diff(cand) > 0)
     if name == "rounded-duplicates":
         assert idx < len(X) - 1 and np.array_equal(X[idx], X[-1]) and len(X) - 1 in cand

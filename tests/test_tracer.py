@@ -28,3 +28,17 @@ def test_tracer_patches_the_pipeline_and_restores_it():
     names = {span[0] for span in tracer.spans}
     assert {"validity.hd_bwdm", "clustering.trimmed_kmeans", "geometry.medoid"} <= names
     assert hdbwdm.clustering.medoid is hdbwdm.geometry.medoid
+
+
+def test_the_trace_books_each_scanned_k_to_the_clustering_stage():
+    tracer = _load_tracer().Tracer()
+    X = np.random.default_rng(0).normal(size=(60, 12))
+    tracer.install()
+    try:
+        hdbwdm.select_k(X, range(2, 6), hdbwdm.PipelineConfig(p=4, alpha=0.1, seed=1))
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    # one fit and one set of centers per K, each under its stage's name
+    assert names.count("clustering.trimmed_kmeans") == 4
+    assert names.count("clustering.cluster_centers") == 4

@@ -303,8 +303,8 @@ def test_hd_bwdm_at_alpha_zero_is_plain_kmeans(projection):
     Xs = robust_scale_apply(X, robust_scale_fit(X))
     model = fit_random_projection(12, 5, proj_seed) if projection == "rp" else fit_pca(Xs, 5)
     Xp = project(Xs, model)
-    expect = bwdm(Xp, kmeans(Xp, 3, seed=clust_seed), "medoid",
-                  projection=projection, p=5, seed=4)
+    expect = replace(bwdm(Xp, kmeans(Xp, 3, seed=clust_seed), "medoid"),
+                     projection=projection, p=5, seed=4)
     report = hd_bwdm(X, cfg)
     assert report == expect and repr(report) == repr(expect)
 
