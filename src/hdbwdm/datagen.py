@@ -32,7 +32,16 @@ OUTLIER = -1  # label sentinel for contamination rows ("OUT" in CSV)
 
 @dataclass(frozen=True)
 class MixtureConfig:
-    """Generator settings; the defaults give the standard benchmark mixture."""
+    """Generator settings; the defaults give the standard benchmark mixture.
+
+    Values whose draws could not all be finite are refused before any
+    draw, among them a ``within_sd`` for which
+    ``|(K_true - 1) * center_spacing| + 64 * within_sd`` overflows.  The
+    bound relies on numpy's ziggurat ``standard_normal``, whose tail draw
+    ``r + x`` (``r`` = 3.654) is kept only if ``x**2 < 2 * -log(u)`` for a
+    double ``u >= 2**-53``, so no draw exceeds 12.3 in magnitude, far
+    below 64.
+    """
 
     n_inliers: int = 500
     d: int = 500
@@ -56,6 +65,11 @@ class MixtureConfig:
             raise UsageError(
                 f"the largest cluster mean (K_true - 1) * center_spacing must be finite, "
                 f"got center_spacing={self.center_spacing} with K_true={self.K_true}"
+            )
+        if not math.isfinite(abs((self.K_true - 1) * self.center_spacing) + 64 * self.within_sd):
+            raise UsageError(
+                f"within_sd={self.within_sd} is too large: "
+                f"|(K_true - 1) * center_spacing| + 64 * within_sd must be finite"
             )
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise UsageError(f"outlier_fraction must lie in [0, 1), got {self.outlier_fraction}")
@@ -185,10 +199,11 @@ def read_dataset_csv(path, labels: bool | None = None):
     """Read a dataset CSV, returning ``(X, labels_or_None)``.
 
     A header row is detected by non-numeric leading tokens.  With
-    ``labels=None`` the trailing column is treated as labels when the
-    header names it ``label``, when any value in it is ``OUT``, or when
-    every value in it is a whole number that fits int64; pass True/False
-    to force.
+    ``labels=None`` a header's last cell alone decides: the trailing
+    column is labels when that cell is ``label`` (in any case).  Without
+    a header the trailing column is labels when any value in it is
+    ``OUT``, or when every value in it is a whole number that fits int64.
+    Pass True/False to force.
     """
     rows = []
     header_cells = None
@@ -209,8 +224,8 @@ def read_dataset_csv(path, labels: bool | None = None):
         raise DataError(f"dataset file {path} has ragged rows")
     last = [r[-1].strip() for r in rows]
     if labels is None:
-        if header_cells is not None and header_cells[-1].lower() == "label":
-            labels = True
+        if header_cells is not None:
+            labels = header_cells[-1].lower() == "label"
         elif any(v.upper() == "OUT" for v in last):
             labels = True
         else:

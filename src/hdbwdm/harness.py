@@ -19,7 +19,7 @@ from .datagen import MixtureConfig, generate, true_partition
 from .errors import NumericalError, UsageError
 from .projection import fit_pca, fit_random_projection, project
 from .validity import IndexReport, PipelineConfig, SelectKResult, hd_bwdm, select_k
-from .validity import _check_retained, _check_truth, _embed, _fit_model, _score
+from .validity import _admit, _embed, _fit_model, _score
 
 __all__ = [
     "RepResult",
@@ -88,11 +88,11 @@ def run_diagnostic(cfg: MixtureConfig, p: int, alpha: float, seed: int) -> Diagn
     with the true labels (outliers pre-trimmed), a plain k-means fit and
     a trimmed k-means fit at ``alpha``, each with medoid centers.
     ``cfg.K_true``, ``p``, ``alpha`` and ``seed`` are checked before any
-    data is drawn, and so is the count of rows the trimmed fit retains,
-    which must exceed ``cfg.K_true``.
+    data is drawn, ``p`` against ``cfg.d`` and ``cfg.K_true`` against the
+    rows the trimmed fit retains included.
     """
     pcfg = PipelineConfig(K=cfg.K_true, p=p, alpha=alpha, seed=seed)
-    _check_retained(cfg.n_total, cfg.K_true, alpha)
+    _admit(pcfg, cfg.n_total, cfg.d)
     ds_seed, proj_seed, km_seed, tk_seed = (derive_seed(seed, i) for i in range(4))
     model = fit_random_projection(cfg.d, p, proj_seed)
     ds = generate(replace(cfg, seed=ds_seed))
@@ -206,8 +206,9 @@ def run_sweep(
     By default every replication reuses one dataset generated from the
     master seed and varies only the projection and clustering seeds;
     ``fresh_data=True`` regenerates the dataset per replication.  Every
-    argument, each p against ``cfg``'s shape and ``cfg.K_true`` against the
-    rows ``alpha`` retains included, is checked before any data is drawn.  Failed replications are dropped; a cell with more
+    argument, each (p, method) against ``cfg``'s shape and ``cfg.K_true``
+    against the rows ``alpha`` retains included, is checked before any
+    data is drawn.  Failed replications are dropped; a cell with more
     than 20% failures raises a :class:`NumericalError`.  Replications may
     run across up to ``n_workers`` processes, never more than there are
     replications, without changing any output.
@@ -226,16 +227,10 @@ def run_sweep(
         raise UsageError(f"reps must be >= 2, got {reps}")
     if n_workers < 1:
         raise UsageError(f"n_workers must be >= 1, got {n_workers}")
-    n, d = cfg.n_total, cfg.d
     for p in p_values:  # what a single hd_bwdm call on the sweep's data would refuse
-        PipelineConfig(K=cfg.K_true, p=p, alpha=alpha)  # raises UsageError on a bad K, p or alpha
-        if p > d:
-            raise UsageError(f"p={p} exceeds the data dimension d={d}")
-        if "pca" in methods and p > n - 1:
-            raise UsageError(
-                f"p={p} exceeds the attainable rank {n - 1} for {n} observations in {d} dimensions"
-            )
-    _check_retained(n, cfg.K_true, alpha)
+        for method in methods:
+            pcfg = PipelineConfig(K=cfg.K_true, p=p, alpha=alpha, projection=method)
+            _admit(pcfg, cfg.n_total, cfg.d)
 
     fixed = (None, None) if fresh_data else _embedding(cfg, master_seed, p_values, methods)
     sweep = (cfg, float(alpha), *fixed)
@@ -297,9 +292,8 @@ def run_select_k(
     """
     # scale once here so the truth score reuses the scan's scaled rows
     Xs = _embed(X, cfg_template.scale)
-    if truth is not None:
-        _check_truth(truth, Xs.shape[0])
-    cfg = replace(cfg_template, scale=False)
+    cfg = replace(cfg_template, K=None, scale=False)  # the scan reads no K, and a truth fixes its own
+    _admit(cfg, *Xs.shape, truth)
     result = select_k(Xs, k_range, cfg)
     if truth is None:
         return result

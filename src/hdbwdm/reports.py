@@ -47,7 +47,7 @@ def _fmt(v) -> str:
     if v is None:
         return "none"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # a numpy float64 is a float whose repr names its type
     return str(v)
 
 

@@ -212,14 +212,35 @@ def _embed(X_raw, scale: bool) -> np.ndarray:
     return robust_scale_apply(X, robust_scale_fit(X)) if scale else X
 
 
-def _fit_model(Xs: np.ndarray, cfg: PipelineConfig, model=None) -> ProjectionModel:
-    """Pipeline stage 2: check ``cfg.p`` against the data, then fit or vet the projection."""
-    d = Xs.shape[1]
-    if not cfg.p <= d:
+def _admit(cfg: PipelineConfig, n: int, d: int, truth: Partition | None = None) -> None:
+    """Refuse ``cfg`` on ``n`` rows of ``d`` columns before any work: the shape rules.
+
+    ``cfg.p`` may not exceed ``d``, nor, for PCA, the attainable rank
+    ``n - 1``.  A ``truth`` partition must label all ``n`` rows; without
+    one, a set ``cfg.K`` must leave more than K rows after trimming, since
+    AWDM divides by ``retained_count - K``.
+    """
+    if cfg.p > d:
         raise UsageError(f"p={cfg.p} exceeds the data dimension d={d}")
+    if cfg.projection == "pca" and cfg.p > n - 1:
+        raise UsageError(
+            f"p={cfg.p} exceeds the attainable rank {n - 1} for {n} observations in {d} dimensions"
+        )
+    if truth is not None and truth.n != n:
+        raise ValueError(f"true_labels cover {truth.n} rows but the data has {n}")
+    trim_count = math.ceil(cfg.alpha * n)
+    if truth is None and cfg.K is not None and n - trim_count <= cfg.K:
+        raise UsageError(
+            f"trimming {trim_count} of {n} rows leaves {n - trim_count} retained observations; "
+            f"the index needs more than K={cfg.K}"
+        )
+
+
+def _fit_model(Xs: np.ndarray, cfg: PipelineConfig, model=None) -> ProjectionModel:
+    """Pipeline stage 2: fit the projection ``cfg`` names, or vet a supplied one."""
     if model is None:
         if cfg.projection == "rp":
-            return fit_random_projection(d, cfg.p, _sub_seeds(cfg.seed)[0])
+            return fit_random_projection(Xs.shape[1], cfg.p, _sub_seeds(cfg.seed)[0])
         return fit_pca(Xs, cfg.p)
     if model.kind != cfg.projection or model.p != cfg.p:
         raise ValueError(
@@ -229,35 +250,13 @@ def _fit_model(Xs: np.ndarray, cfg: PipelineConfig, model=None) -> ProjectionMod
     return model
 
 
-def _check_retained(n: int, K: int, alpha: float) -> None:
-    """Refuse a fit of ``n`` rows at ``K`` and ``alpha`` that would retain at most K rows.
-
-    AWDM divides by ``retained_count - K``, so such a fit cannot be scored.
-    """
-    trim_count = math.ceil(alpha * n)
-    if n - trim_count <= K:
-        raise UsageError(
-            f"trimming {trim_count} of {n} rows leaves {n - trim_count} retained observations; "
-            f"the index needs more than K={K}"
-        )
-
-
-def _check_truth(true_labels: Partition, n: int) -> None:
-    if true_labels.n != n:
-        raise ValueError(f"true_labels cover {true_labels.n} rows but the data has {n}")
-
-
 def _score(Xp: np.ndarray, cfg: PipelineConfig, part=None, *, seedings=None, memo=None) -> IndexReport:
-    """Pipeline stage 3: score ``part``, else the trimmed k-means fit at
-    ``cfg.alpha``, refused before it runs if it would retain at most ``cfg.K`` rows.
+    """Pipeline stage 3: score ``part``, else the trimmed k-means fit at ``cfg.alpha``.
 
     A K scan passes its shared ``seedings`` to ``trimmed_kmeans`` and its
     center ``memo`` to ``cluster_centers``."""
     if part is None:
-        _check_retained(Xp.shape[0], cfg.K, cfg.alpha)
         part = trimmed_kmeans(Xp, cfg.K, cfg.alpha, seed=_sub_seeds(cfg.seed)[1], seedings=seedings)
-    else:
-        _check_truth(part, Xp.shape[0])
     C = cluster_centers(Xp, part, cfg.center_kind, memo=memo)
     return _index_report(Xp, part, C, cfg.center_kind, cfg.projection, cfg.p, cfg.seed)
 
@@ -285,6 +284,7 @@ def hd_bwdm(
     if true_labels is None and cfg.K is None:
         raise UsageError("hd_bwdm needs cfg.K to fit a partition, or true_labels to score")
     Xs = _embed(X_raw, cfg.scale)
+    _admit(cfg, *Xs.shape, true_labels)
     return _score(project(Xs, _fit_model(Xs, cfg, projection_model)), cfg, true_labels)
 
 
@@ -324,6 +324,8 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
         raise UsageError(
             f"k_range must lie within [2, n*(1-alpha)/2] = [2, {limit:.1f}], got {ks[0]}..{ks[-1]}"
         )
+    # K <= n*(1-alpha)/2 keeps at least 2K > K rows after trimming, so no K is checked again
+    _admit(replace(cfg_template, K=None), *Xs.shape)
     model = _fit_model(Xs, cfg_template)
     Xp = project(Xs, model)
 

@@ -288,7 +288,9 @@ def test_flag_only_usage_errors_come_before_any_data(tmp_path, capsys, monkeypat
     ["generate", "--within-sd", "inf"],
     ["generate", "--outlier-lo=-1e308", "--outlier-hi=1e308"],
     ["diagnostic", "--spacing", "nan"],
-], ids=["nan-spacing", "infinite-sd", "infinite-outlier-width", "diagnostic-nan-spacing"])
+    ["generate", "--n-inliers", "20", "--d", "3", "--k-true", "2", "--within-sd", "1e308"],
+], ids=["nan-spacing", "infinite-sd", "infinite-outlier-width", "diagnostic-nan-spacing",
+        "overflowing-sd"])
 def test_a_mixture_whose_draws_cannot_be_finite_is_one_usage_error(
     tmp_path, capsys, monkeypatch, argv
 ):

@@ -141,6 +141,9 @@ def test_config_validation():
     ({"K_true": 1, "center_spacing": math.inf}, "center_spacing"),  # its one mean, 0 * inf, is nan
     ({"outlier_range": (-math.inf, 100.0)}, "outlier_range"),
     ({"outlier_range": (-1e308, 1e308)}, "outlier_range"),  # finite bounds, infinite width
+    ({"within_sd": 1e308}, "within_sd"),  # 64 * within_sd overflows
+    # the largest mean and 64 * within_sd are finite, but not their sum
+    ({"K_true": 2, "center_spacing": 1.7e308, "within_sd": 1e306}, "within_sd"),
 ])
 def test_a_mixture_whose_draws_cannot_be_finite_is_refused(settings, message):
     with pytest.raises(UsageError, match=message):
@@ -188,6 +191,19 @@ def test_dataset_csv_unlabeled_round_trip(tmp_path):
     back, y = read_dataset_csv(path)
     assert y is None
     assert np.array_equal(back, X)
+
+
+def test_dataset_csv_header_alone_decides_the_label_column(tmp_path):
+    # an unlabeled write of whole-valued features reads back whole: its header names no label
+    X = np.arange(40.0).reshape(8, 5)
+    path = tmp_path / "whole.csv"
+    write_dataset_csv(X, None, path)
+    back, y = read_dataset_csv(path)
+    assert y is None
+    assert np.array_equal(back, X)
+    path.write_text("a,LABEL\n1.5,2\n3.5,4\n")
+    back, y = read_dataset_csv(path)
+    assert back.tolist() == [[1.5], [3.5]] and y.tolist() == [2, 4]
 
 
 def test_dataset_csv_label_sniffing_rules(tmp_path):

@@ -20,6 +20,7 @@ from hdbwdm import (
     generate,
     hd_bwdm,
     project,
+    select_k,
     true_partition,
 )
 from hdbwdm.harness import (
@@ -345,18 +346,55 @@ def test_fixed_data_sweep_without_pca_runs_no_svd(monkeypatch):
     assert pca_fits == []
 
 
-def test_sweep_pca_beyond_rank_fails_like_a_single_call(monkeypatch):
-    # 12 rows reach rank 11: p=11 shares the SVD, p=12 is refused before any data exists
-    cfg = _small_mixture(n_inliers=11, outlier_fraction=0.1)
-    cells = run_sweep(cfg, [4, 11], ["pca"], reps=2, alpha=0.1, master_seed=3)
-    assert [c.p for c in cells] == [4, 11]
-    with pytest.raises(UsageError, match="attainable rank") as single:
-        hd_bwdm(generate(cfg).X, PipelineConfig(K=2, p=12, projection="pca"))
+# Each shape rule: a mixture, pipeline settings that break the rule on its rows, the
+# neighbouring settings that it admits, and the one message every entry point raises.
+_SHAPE_RULES = {
+    "p-above-d": (
+        dict(n_inliers=11, outlier_fraction=0.1), dict(p=31), dict(p=30),
+        "p=31 exceeds the data dimension d=30",
+    ),
+    "pca-rank": (  # 12 rows reach rank 11
+        dict(n_inliers=11, outlier_fraction=0.1),
+        dict(p=12, projection="pca"), dict(p=11, projection="pca"),
+        "p=12 exceeds the attainable rank 11 for 12 observations in 30 dimensions",
+    ),
+    "retained-k": (  # 4 rows at alpha = 0.45 keep 2 = K
+        dict(n_inliers=4, d=5, outlier_fraction=0.0), dict(p=2, alpha=0.45), dict(p=2, alpha=0.25),
+        "trimming 2 of 4 rows leaves 2 retained observations; the index needs more than K=2",
+    ),
+}
 
-    def no_data(cfg):
-        raise AssertionError("data generated before p was checked")
 
-    monkeypatch.setattr(hdbwdm.harness, "generate", no_data)
-    with pytest.raises(UsageError) as swept:
-        run_sweep(cfg, [4, 12], ["pca"], reps=2, alpha=0.1, master_seed=3)
-    assert str(swept.value) == str(single.value)
+def _run_entry(entry, cfg, X, settings):
+    pcfg = PipelineConfig(K=cfg.K_true, **settings)
+    if entry == "hd_bwdm":
+        return hd_bwdm(X, pcfg)
+    if entry == "select_k":
+        return select_k(X, [2, 3], replace(pcfg, K=None))
+    if entry == "run_sweep":
+        return run_sweep(cfg, [pcfg.p], [pcfg.projection], reps=2, alpha=pcfg.alpha, master_seed=3)
+    return run_diagnostic(cfg, pcfg.p, pcfg.alpha, 3)
+
+
+# select_k's K range keeps more than K rows at every K; the diagnostic projects with rp only
+@pytest.mark.parametrize("rule, entry", [
+    (rule, entry)
+    for rule in _SHAPE_RULES
+    for entry in ("hd_bwdm", "select_k", "run_sweep", "run_diagnostic")
+    if (rule, entry) not in {("retained-k", "select_k"), ("pca-rank", "run_diagnostic")}
+])
+def test_each_entry_point_refuses_a_shape_rule_with_one_message(monkeypatch, rule, entry):
+    mixture, refused, admitted, message = _SHAPE_RULES[rule]
+    cfg = _small_mixture(**mixture)
+    X = generate(cfg).X
+    _run_entry(entry, cfg, X, admitted)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the shape rules were checked")
+
+    monkeypatch.setattr(hdbwdm.harness, "generate", no_work)
+    monkeypatch.setattr(hdbwdm.harness, "trimmed_kmeans", no_work)
+    monkeypatch.setattr(hdbwdm.validity, "trimmed_kmeans", no_work)
+    with pytest.raises(UsageError) as refusal:
+        _run_entry(entry, cfg, X, refused)
+    assert str(refusal.value) == message

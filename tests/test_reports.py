@@ -151,6 +151,26 @@ def test_sweep_round_trip(tmp_path, fmt):
     assert (tmp_path / "sweep.svg").exists()
 
 
+@pytest.mark.parametrize("kind", ["diagnostic", "sweep"])
+def test_numpy_float_settings_write_as_plain_floats(tmp_path, kind):
+    # a numpy float64 setting writes the bytes of the Python float and reads back
+    plain = _mixture(within_sd=0.7)
+    numpy_valued = _mixture(within_sd=np.float64(0.7))
+    for cfg, out in ((plain, tmp_path / "plain"), (numpy_valued, tmp_path / "numpy")):
+        if kind == "diagnostic":
+            report = run_diagnostic(cfg, p=8, alpha=np.float64(0.1), seed=5)
+            write_diagnostic(report, out, "csv")
+            assert read_diagnostic(out, "csv") == report
+        else:
+            cells = run_sweep(cfg, [6], ["rp"], reps=2, alpha=0.1, master_seed=9)
+            write_sweep(cells, cfg, np.float64(0.1), 9, False, out, "csv")
+            assert read_sweep(out, "csv") == (cells, {
+                "config": plain, "alpha": 0.1, "master_seed": 9, "fresh_data": False,
+            })
+    for path in sorted((tmp_path / "plain").iterdir()):
+        assert (tmp_path / "numpy" / path.name).read_bytes() == path.read_bytes()
+
+
 def test_sweep_round_trip_preserves_fresh_data_flag(tmp_path):
     cfg = _mixture()
     cells = run_sweep(cfg, [6], ["rp"], reps=2, alpha=0.1, master_seed=1, fresh_data=True)
