@@ -11,6 +11,7 @@ The package exports ``__version__`` and every name in its modules'
 ``__all__`` lists, which are the one place a public name is declared.
 """
 
+from . import _openblas  # noqa: F401  (first: it quiets OpenBLAS before numpy loads)
 from .clustering import *
 from .datagen import *
 from .errors import *

@@ -6,19 +6,16 @@ the SVD of the mean-centred data with a deterministic sign convention.
 ``distortion_profile`` measures how far a given embedding actually is
 from isometry on sampled point pairs.
 
-``project``'s product and ``fit_pca``'s SVD are the pipeline's only BLAS
-calls.  After each, numpy's OpenBLAS worker threads are parked (see
-``_park_blas``) so that they do not busy-wait; the thread count, and so
-every output byte, stays as the BLAS build and its settings make it.
+``project``'s product and ``fit_pca``'s SVD are the pipeline's only
+threaded BLAS calls.  The package never changes the BLAS thread count, so
+their bytes follow the BLAS build, its CPU kernel and its settings.
+Between calls numpy's OpenBLAS worker threads sleep, not spin, because
+the package gives OpenBLAS its shortest idle timeout when it is imported
+(see ``hdbwdm._openblas``).
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +86,8 @@ def fit_random_projection(d: int, p: int, seed: int) -> ProjectionModel:
     if not 1 <= p <= d:
         raise UsageError(f"need 1 <= p <= d, got p={p}, d={d}")
     rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((p, d)) / np.sqrt(p)
+    matrix = rng.standard_normal((p, d))
+    matrix /= np.sqrt(p)
     return ProjectionModel(kind="rp", matrix=matrix, centers=np.zeros(d), seed=int(seed))
 
 
@@ -101,8 +99,7 @@ def fit_pca(X, p: int) -> ProjectionModel:
     positive.  ``p`` may not exceed the attainable rank ``min(n-1, d)``.
 
     The bytes follow the BLAS build, its CPU kernel and its thread count,
-    which this function never changes.  When it runs on the process's only
-    Python thread, numpy's OpenBLAS worker threads are parked after the SVD.
+    which this function never changes.
     """
     X = _as_points(X, "X")
     n, d = X.shape
@@ -115,7 +112,6 @@ def fit_pca(X, p: int) -> ProjectionModel:
         )
     centers = X.mean(axis=0)
     _, svals, vt = np.linalg.svd(X - centers, full_matrices=False)
-    _park_blas()
     loadings = vt[:p].copy()
     explained = (svals[:p] ** 2) / (n - 1)
     # sign convention: largest-|entry| of each loading made positive
@@ -136,51 +132,14 @@ def project(X, model: ProjectionModel) -> np.ndarray:
     """Apply a fitted projection to an (n, d) matrix, returning (n, p).
 
     The bytes follow the BLAS build, its CPU kernel and its thread count,
-    which this function never changes.  When it runs on the process's only
-    Python thread, numpy's OpenBLAS worker threads are parked after the
-    product.
+    which this function never changes.
     """
     X = _as_points(X, "X")
     if X.shape[1] != model.d:
         raise ValueError(
             f"dimension mismatch: X has {X.shape[1]} columns, model expects {model.d}"
         )
-    Xp = (X - model.centers) @ model.matrix.T
-    _park_blas()
-    return Xp
-
-
-@functools.cache
-def _blas_shutdown():
-    """numpy's OpenBLAS ``blas_thread_shutdown_``, or None when there is none.
-
-    numpy's wheels load ``libscipy_openblas64_*.so`` from the ``numpy.libs``
-    directory beside the package; ``RTLD_NOLOAD`` takes that loaded copy
-    and never loads another.  Another BLAS build has no such library or
-    symbol.  Cached, so the lookup runs once, on the first BLAS call.
-    """
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
-        try:
-            return ctypes.PyDLL(path, mode=os.RTLD_NOLOAD).blas_thread_shutdown_
-        except (OSError, AttributeError):
-            pass
-    return None
-
-
-def _park_blas() -> None:
-    """Stop OpenBLAS's worker threads, which spin for about 0.1 s after a call.
-
-    OpenBLAS runs the same shutdown before every ``fork``, and its next
-    threaded call restarts the pool at the same thread count, so every split
-    and every output bit stay the same.  Shutting the pool down while another
-    Python thread is inside BLAS can hang both, so the park runs only on the
-    process's only Python thread.  ``PyDLL`` keeps the GIL for the call, so
-    no other thread can start before it returns.
-    """
-    shutdown = _blas_shutdown()
-    if shutdown is not None and threading.active_count() == 1:
-        shutdown()
+    return (X - model.centers) @ model.matrix.T
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from hdbwdm import (
     spatial_median,
 )
 import hdbwdm.geometry as geometry
-from hdbwdm import projection
+from hdbwdm import _openblas
 from hdbwdm.geometry import _MEDOID_ROWS, _distance_kernels, _medoid_candidates
 from oracles import brute_medoid, distance_sum_objective, grid_spatial_median
 
@@ -310,12 +310,13 @@ def test_medoid_near_tie_is_decided_by_the_exact_sums(exact_rows, nudge):
 _ONE_THREAD = """
 import os
 import numpy as np
-from hdbwdm import projection
+from hdbwdm import _openblas
 from hdbwdm.geometry import medoid
 
 rng = np.random.default_rng(0)
 clusters = [rng.normal(size=shape) for shape in ((100, 400), (300, 300), (1990, 20), (4400, 100))]
-projection._park_blas()
+shutdown, _ = _openblas._numpy_openblas()
+shutdown()
 before = len(os.listdir("/proc/self/task"))
 for X in clusters:
     medoid(X)
@@ -326,9 +327,9 @@ print(before, len(os.listdir("/proc/self/task")))
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_the_medoid_screen_never_starts_the_blas_pool():
     # every product of the screen stays under OpenBLAS's threading cutoff, so
-    # after the pool is parked the process keeps its one OS thread
-    if projection._blas_shutdown() is None:
-        pytest.skip("numpy's BLAS is not the OpenBLAS whose pool _park_blas stops")
+    # after the pool is shut down the process keeps its one OS thread
+    if _openblas._numpy_openblas() is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS whose pool the package can shut down")
     proc = subprocess.run(
         [sys.executable, "-c", _ONE_THREAD], capture_output=True, text=True, timeout=120
     )

@@ -1,8 +1,9 @@
-"""Random projection, PCA, distortion measurement, the BLAS park."""
+"""Random projection, PCA, distortion measurement, the quiet BLAS pool."""
 
 import ctypes
 import glob
 import json
+import os
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from hdbwdm import (
     generate,
     project,
 )
-from hdbwdm import projection
+from hdbwdm import _openblas
 
 
 def test_rp_deterministic_for_seed():
@@ -213,10 +214,12 @@ def test_distortion_decays_with_p():
     assert all(a > b for a, b in zip(medians, medians[1:]))
 
 
-# The BLAS park: project and fit_pca stop numpy's OpenBLAS worker threads
-# after their BLAS call.  The checks use the benchmark mixture (550 x 500)
-# at p = 300, where OpenBLAS does split the work across threads, and those
-# that need a fresh process run one with the default thread count.
+# The quiet BLAS pool: importing the package gives numpy's OpenBLAS its
+# shortest idle timeout, so its worker threads sleep, not spin, after numpy
+# loads and after project's and fit_pca's BLAS calls.  The checks use the
+# benchmark mixture (550 x 500) at p = 300, where OpenBLAS does split the
+# work across threads, and those that need a fresh process run one with the
+# default thread count.
 
 _MIXTURE = """
 import numpy as np
@@ -300,39 +303,152 @@ def test_blas_park_waits_while_another_python_thread_runs():
     assert _run_python(_TWO_THREADS, timeout=60).split() == ["0"]
 
 
+_OPENBLAS = """
+import ctypes, glob, json, os, time
+
+def openblas():
+    import numpy as np
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    found = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+    return ctypes.CDLL(found[0]) if found else None
+
+def other_threads_cpu():
+    return time.process_time() - time.thread_time()
+"""
+
+_IMPORT_SPIN = {
+    # CPU that threads other than the main one use from the process start
+    "bare": "import hdbwdm",
+    # numpy's own import spins before the package can act; count from its end
+    "numpy-first": "import numpy\nstart = other_threads_cpu()\nimport hdbwdm",
+    # count from after one project and one fit_pca call
+    "calls": _MIXTURE + "project(X, rp)\nfit_pca(X, 300)\nstart = other_threads_cpu()",
+}
+
+
+@pytest.mark.parametrize("case", list(_IMPORT_SPIN))
+def test_no_blas_worker_spins_after_the_import(case):
+    script = _OPENBLAS + "start = 0.0\n" + _IMPORT_SPIN[case] + """
+lib = openblas()
+time.sleep(0.2)
+print(json.dumps({
+    "threads": lib.scipy_openblas_get_num_threads64_() if lib else 0,
+    "spin": other_threads_cpu() - start,
+}))
+"""
+    result = json.loads(_run_python(script))
+    if result["threads"] <= 1:
+        pytest.skip("numpy has no bundled OpenBLAS or it runs one thread, so no worker spins")
+    assert result["spin"] < 0.03, result["spin"]
+
+
+_THREADS_AND_ENVIRONMENT = _OPENBLAS + """
+import numpy
+lib = openblas()
+threads = lib.scipy_openblas_get_num_threads64_() if lib else 0
+environ = dict(os.environ)
+import hdbwdm
+""" + _MIXTURE + """
+project(X, rp)
+fit_pca(X, 300)
+print(json.dumps({
+    "threads": [threads, lib.scipy_openblas_get_num_threads64_() if lib else 0],
+    "environ_kept": dict(os.environ) == environ,
+    "timeout": lib.openblas_thread_timeout() if lib else None,
+}))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "7"])
+def test_the_import_keeps_the_thread_count_and_the_environment(monkeypatch, preset):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", preset)
+    result = json.loads(_run_python(_THREADS_AND_ENVIRONMENT))
+    assert result["environ_kept"]
+    assert result["threads"][0] == result["threads"][1]
+    if result["timeout"] is not None:
+        # OpenBLAS reread its settings: the package's minimum, or the user's value
+        assert result["timeout"] == int(preset or _openblas._MIN_TIMEOUT)
+
+
+_IMPORT_BESIDE_BLAS = """
+import threading
+import numpy as np
+
+a = np.random.default_rng(0).normal(size=(400, 400))
+started, stop = threading.Event(), threading.Event()
+
+def run():
+    while not stop.is_set():
+        np.dot(a, a)
+        started.set()
+
+worker = threading.Thread(target=run)
+worker.start()
+started.wait()
+import hdbwdm
+stop.set()
+worker.join()
+print("imported")
+"""
+
+
+def test_the_import_does_not_hang_beside_a_blas_thread():
+    # shutting the pool down while another thread is inside BLAS hangs both
+    assert _run_python(_IMPORT_BESIDE_BLAS, timeout=60).split() == ["imported"]
+
+
 @pytest.fixture
 def blas_lookup_reset():
     """Forget the cached lookup after the test, so later calls find the real library."""
     yield
-    projection._blas_shutdown.cache_clear()
+    _openblas._numpy_openblas.cache_clear()
 
 
 @pytest.mark.parametrize("missing", ["library", "symbol"])
 def test_blas_park_falls_back_to_nothing(monkeypatch, blas_lookup_reset, missing):
     X = generate(MixtureConfig(seed=0)).X
     rp = fit_random_projection(X.shape[1], 300, seed=0)
-    parked = project(X, rp), fit_pca(X, 300)
-    projection._blas_shutdown.cache_clear()
+    before = project(X, rp), fit_pca(X, 300)
+    _openblas._numpy_openblas.cache_clear()
     if missing == "library":
         monkeypatch.setattr(glob, "glob", lambda pattern: [])
     else:
         monkeypatch.setattr(glob, "glob", lambda pattern: ["libscipy_openblas64_.so"])
         monkeypatch.setattr(ctypes, "PyDLL", lambda path, mode: object())
-    plain = project(X, rp), fit_pca(X, 300)
-    assert projection._blas_shutdown() is None
-    assert plain[0].tobytes() == parked[0].tobytes()
-    assert plain[1].matrix.tobytes() == parked[1].matrix.tobytes()
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    environ = dict(os.environ)
+    _openblas._quiet_numpy_blas()
+    assert _openblas._numpy_openblas() is None
+    assert dict(os.environ) == environ
+    after = project(X, rp), fit_pca(X, 300)
+    assert after[0].tobytes() == before[0].tobytes()
+    assert after[1].matrix.tobytes() == before[1].matrix.tobytes()
 
 
 _LOOKUP = """
-import hdbwdm.cli
-from hdbwdm import projection
-print(projection._blas_shutdown.cache_info().currsize)
-""" + _MIXTURE + """
-project(X, rp)
-print(projection._blas_shutdown.cache_info().currsize)
+import sys
+
+def shared_objects():
+    with open("/proc/self/maps") as maps:
+        return {line.split()[-1] for line in maps if ".so" in line}
+
+import numpy
+before = shared_objects()
+import hdbwdm
+from hdbwdm import _openblas
+extensions = {getattr(m, "__file__", None) for m in list(sys.modules.values())}
+print(_openblas._numpy_openblas.cache_info().currsize, sorted(shared_objects() - before - extensions))
 """
 
 
-def test_blas_lookup_waits_for_the_first_blas_call():
-    assert _run_python(_LOOKUP).split() == ["0", "1"]
+@pytest.mark.skipif(not os.path.isfile("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_blas_lookup_loads_no_new_shared_object():
+    # after numpy's import the step looks the loaded library up, and every
+    # object the package's import maps is one of its extension modules
+    assert _run_python(_LOOKUP).split(maxsplit=1) == ["1", "[]\n"]
+    # numpy's first import reads the timeout itself, so it needs no lookup
+    bare = "import hdbwdm\nprint(hdbwdm._openblas._numpy_openblas.cache_info().currsize)"
+    assert _run_python(bare).split() == ["0"]
