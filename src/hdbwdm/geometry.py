@@ -329,6 +329,17 @@ class RobustScaleModel:
     fallback_mask: np.ndarray
 
 
+def _median_rows(T: np.ndarray) -> np.ndarray:
+    """Each row's median by selection, leaving ``T`` partitioned: bitwise ``np.median(T, axis=1)``,
+    whose mean of the middle values turns a -0.0 into 0.0, as the ``0.0 +`` does."""
+    n = T.shape[1]
+    h = n // 2
+    T.partition(h, axis=1)
+    if n % 2:
+        return 0.0 + T[:, h]
+    return (0.0 + T[:, :h].max(axis=1) + T[:, h]) / 2
+
+
 def robust_scale_fit(X) -> RobustScaleModel:
     """Fit per-column robust centers and scales.
 
@@ -337,8 +348,9 @@ def robust_scale_fit(X) -> RobustScaleModel:
     gets scale 1 and is flagged in ``fallback_mask``.
     """
     X = _as_points(X, "X")
-    centers = np.median(X, axis=0)
-    scales = np.median(np.abs(X - centers), axis=0)
+    T = X.T.copy()  # one (d, n) working copy: each column's values contiguous
+    centers = _median_rows(T)
+    scales = _median_rows(np.abs(np.subtract(X.T, centers[:, None], out=T), out=T))
     fallback = scales == 0.0
     scales = np.where(fallback, 1.0, scales)
     return RobustScaleModel(centers=centers, scales=scales, fallback_mask=fallback)
@@ -350,4 +362,5 @@ def robust_scale_apply(X, model: RobustScaleModel) -> np.ndarray:
     d = model.centers.shape[0]
     if X.shape[1] != d:
         raise ValueError(f"dimension mismatch: X has {X.shape[1]} columns, model expects {d}")
-    return (X - model.centers) / model.scales
+    out = np.subtract(X, model.centers)
+    return np.divide(out, model.scales, out=out)

@@ -44,24 +44,6 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _replication_stats(values) -> tuple[float, float, float]:
-    """``(mean, sd, cv)`` of replicate values.
-
-    ``sd`` uses the n-1 divisor and is NaN for a single value; ``cv`` is
-    NaN whenever ``sd`` is undefined or the mean is zero.
-    """
-    vals = np.asarray(list(values), dtype=float)
-    if vals.size == 0:
-        raise ValueError("replication statistics need at least one value")
-    mean = float(vals.mean())
-    # degenerate replicates carry +inf; inf - inf inside std is the
-    # expected NaN outcome, not a condition worth a numpy warning
-    with np.errstate(invalid="ignore"):
-        sd = float(vals.std(ddof=1)) if vals.size > 1 else math.nan
-    cv = sd / mean if not math.isnan(sd) and mean != 0.0 else math.nan
-    return mean, sd, cv
-
-
 @dataclass(frozen=True)
 class DiagnosticReport:
     """One dataset, one embedding, the index for three partitions.
@@ -125,19 +107,38 @@ class RepResult:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """Aggregated replications for one (p, method) combination."""
+    """The replications of one (p, method) combination, and their summaries.
+
+    The summaries are computed from ``per_rep``: ``sd_bwdm`` uses the n-1
+    divisor and is NaN for a single value; ``cv`` is NaN whenever
+    ``sd_bwdm`` is undefined or the mean is zero.
+    """
 
     p: int
     method: str
-    reps: int
-    mean_bwdm: float
-    sd_bwdm: float
-    cv: float
     per_rep: tuple[RepResult, ...]
 
-    def __post_init__(self):
-        if self.reps != len(self.per_rep):
-            raise ValueError(f"reps={self.reps} but {len(self.per_rep)} replication records")
+    @property
+    def reps(self) -> int:
+        return len(self.per_rep)
+
+    @property
+    def mean_bwdm(self) -> float:
+        if not self.per_rep:
+            raise ValueError("replication statistics need at least one value")
+        return float(np.mean([r.value for r in self.per_rep]))
+
+    @property
+    def sd_bwdm(self) -> float:
+        # degenerate replicates carry +inf; inf - inf inside std is the
+        # expected NaN outcome, not a condition worth a numpy warning
+        with np.errstate(invalid="ignore"):
+            return float(np.std([r.value for r in self.per_rep], ddof=1)) if self.reps > 1 else math.nan
+
+    @property
+    def cv(self) -> float:
+        sd, mean = self.sd_bwdm, self.mean_bwdm
+        return sd / mean if not math.isnan(sd) and mean != 0.0 else math.nan
 
 
 _SWEEP = None  # a pool worker's copy of the running sweep's shared state
@@ -261,18 +262,7 @@ def run_sweep(
                 f"cell (p={p}, method={method}) failed {len(failed)}/{reps} replications; "
                 f"first failure: rep {failed[0][0]}: {failed[0][1]}"
             )
-        mean, sd, cv = _replication_stats([r.value for r in ok])
-        cells.append(
-            SweepCell(
-                p=p,
-                method=method,
-                reps=len(ok),
-                mean_bwdm=mean,
-                sd_bwdm=sd,
-                cv=cv,
-                per_rep=tuple(ok),
-            )
-        )
+        cells.append(SweepCell(p=p, method=method, per_rep=tuple(ok)))
     return cells
 
 

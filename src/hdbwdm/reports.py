@@ -35,9 +35,10 @@ _REPORT_COLS = [
     "abdm", "awdm", "bwdm", "k", "p", "alpha", "projection",
     "center_kind", "seed", "n_used", "degenerate",
 ]
-# the scalar fields of a kind, each with the type it reads back as
+# the diagnostic's scalar fields, each with the type it reads back as
 _DIAG_FIELDS = dict(p=int, alpha=float, master_seed=int, projection_seed=int)
-_CELL_FIELDS = dict(p=int, method=str, reps=int, mean_bwdm=float, sd_bwdm=float, cv=float)
+# a sweep cell's columns: its key, then summaries that readers recompute from its replications
+_CELL_COLS = ["p", "method", "reps", "mean_bwdm", "sd_bwdm", "cv"]
 _DIAG_ORDER = ["true", "kmeans", "trimmed-kmeans"]
 
 
@@ -111,9 +112,9 @@ def _report_row(rep: IndexReport) -> list:
 
 
 def _report_from_cells(cells: dict) -> IndexReport:
-    """``IndexReport.from_dict`` converts the types; only two CSV spellings differ."""
+    """``IndexReport.from_dict`` converts the types; only the CSV spelling of no seed differs."""
     seed = None if cells["seed"] == "none" else cells["seed"]
-    return IndexReport.from_dict({**cells, "seed": seed, "degenerate": cells["degenerate"] == "1"})
+    return IndexReport.from_dict({**cells, "seed": seed})
 
 
 def _config_dict(cfg: MixtureConfig) -> dict:
@@ -215,7 +216,7 @@ def write_sweep(
             "master_seed": master_seed,
             "fresh_data": fresh_data,
             "cells": [
-                {**{f: getattr(c, f) for f in _CELL_FIELDS},
+                {**{f: getattr(c, f) for f in _CELL_COLS},
                  "per_rep": [[r.rep, r.seed, r.value] for r in c.per_rep]}
                 for c in cells
             ],
@@ -228,8 +229,8 @@ def write_sweep(
             "master_seed": master_seed,
             "fresh_data": bool(fresh_data),
         }
-        rows = [[getattr(c, f) for f in _CELL_FIELDS] for c in cells]
-        _write_csv(os.path.join(out_dir, "sweep_cells.csv"), _CELL_FIELDS, rows, meta)
+        rows = [[getattr(c, f) for f in _CELL_COLS] for c in cells]
+        _write_csv(os.path.join(out_dir, "sweep_cells.csv"), _CELL_COLS, rows, meta)
         rows = [[c.p, c.method, r.rep, r.seed, r.value] for c in cells for r in c.per_rep]
         header = ["p", "method", "rep", "seed", "value"]
         _write_csv(os.path.join(out_dir, "sweep_reps.csv"), header, rows)
@@ -252,7 +253,8 @@ def read_sweep(out_dir, fmt: str = "csv"):
                             if (int(r["p"]), r["method"]) == (int(c["p"]), c["method"])]
     cells = [
         SweepCell(
-            **{f: kind(c[f]) for f, kind in _CELL_FIELDS.items()},
+            p=int(c["p"]),
+            method=str(c["method"]),
             per_rep=tuple(
                 RepResult(rep=int(r), seed=int(s), value=float(v)) for r, s, v in c["per_rep"]
             ),

@@ -44,12 +44,12 @@ class IndexReport:
     ``p`` is None when the index was computed in the original
     (unprojected) space; serializers spell that as ``"FULL"``.
     ``degenerate`` marks a zero within-cluster distance sum, in which
-    case ``bwdm`` is the +inf sentinel.
+    case ``bwdm`` is the +inf sentinel; both are computed from ``abdm``
+    and ``awdm``.
     """
 
     abdm: float
     awdm: float
-    bwdm: float
     K: int
     p: int | None
     alpha: float
@@ -57,13 +57,14 @@ class IndexReport:
     center_kind: str
     seed: int | None
     n_used: int
-    degenerate: bool = False
 
-    def __post_init__(self):
-        if not self.degenerate:
-            expect = self.abdm / self.awdm
-            if not math.isclose(self.bwdm, expect, rel_tol=1e-12, abs_tol=0.0):
-                raise ValueError(f"bwdm={self.bwdm!r} is not abdm/awdm={expect!r}")
+    @property
+    def degenerate(self) -> bool:
+        return self.awdm == 0.0
+
+    @property
+    def bwdm(self) -> float:
+        return math.inf if self.degenerate else self.abdm / self.awdm
 
     def to_dict(self) -> dict:
         return {
@@ -86,7 +87,6 @@ class IndexReport:
         return cls(
             abdm=float(d["abdm"]),
             awdm=float(d["awdm"]),
-            bwdm=float(d["bwdm"]),
             K=int(d["k"]),
             p=None if p in (None, "FULL") else int(p),
             alpha=float(d["alpha"]),
@@ -94,7 +94,6 @@ class IndexReport:
             center_kind=str(d["center_kind"]),
             seed=None if d["seed"] is None else int(d["seed"]),
             n_used=int(d["n_used"]),
-            degenerate=bool(d["degenerate"]),
         )
 
 
@@ -146,16 +145,9 @@ def bwdm(X, part: Partition, center_kind: str = "spatial-median") -> IndexReport
 
 def _index_report(X, part: Partition, C: np.ndarray, kind, projection, p, seed) -> IndexReport:
     """``bwdm``'s index and report from ``kind`` centers already computed."""
-    a = abdm(C)
-    w = awdm(X, part, C)
-    if w == 0.0:
-        value, degenerate = math.inf, True
-    else:
-        value, degenerate = a / w, False
     return IndexReport(
-        abdm=a,
-        awdm=w,
-        bwdm=value,
+        abdm=abdm(C),
+        awdm=awdm(X, part, C),
         K=part.K,
         p=p,
         alpha=part.alpha,
@@ -163,7 +155,6 @@ def _index_report(X, part: Partition, C: np.ndarray, kind, projection, p, seed) 
         center_kind=kind,
         seed=seed,
         n_used=part.retained_count,
-        degenerate=degenerate,
     )
 
 

@@ -1,9 +1,10 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything in this file recomputes a quantity from its defining formula by
-grid search or exhaustive enumeration, sharing no code with the package, so
-a test that matches both can only pass when the formulas agree.  All of it
-is exponential or grid-based and only usable on tiny inputs.
+grid search, exhaustive enumeration or a plain numpy call, sharing no code
+with the package, so a test that matches both can only pass when the
+formulas agree.  All of it but ``median_mad`` is exponential or grid-based
+and only usable on tiny inputs.
 """
 
 import itertools
@@ -42,6 +43,16 @@ def grid_spatial_median(points, pad=1.0, steps=201, refinements=2):
 def distance_sum_objective(candidate, points):
     c = np.asarray(candidate, dtype=float)
     return float(sum(math.dist(c, q) for q in np.asarray(points, dtype=float)))
+
+
+def median_mad(X):
+    """Columnwise medians, and medians of the absolute deviations from them.
+
+    Two ``np.median`` calls: the scaling's defining formula, and the
+    bytes its selection-based fit must reproduce.
+    """
+    centers = np.median(X, axis=0)
+    return centers, np.median(np.abs(X - centers), axis=0)
 
 
 def brute_medoid(points):

@@ -20,7 +20,8 @@ from hdbwdm import (
 import hdbwdm.geometry as geometry
 from hdbwdm import _openblas
 from hdbwdm.geometry import _MEDOID_ROWS, _distance_kernels, _medoid_candidates
-from oracles import brute_medoid, distance_sum_objective, grid_spatial_median
+from hdbwdm.validity import _embed
+from oracles import brute_medoid, distance_sum_objective, grid_spatial_median, median_mad
 
 
 def pairwise_medoid(X):
@@ -465,6 +466,41 @@ def test_robust_scale_round_trip():
     model = robust_scale_fit(X)
     back = robust_scale_apply(X, model) * model.scales + model.centers
     assert np.allclose(back, X, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 550, 551, 1000, 6600, 6601])
+def test_robust_scaling_is_bitwise_two_np_median_calls(n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 6))
+    tied = np.round(X * 2.0) / 2.0
+    tied[tied == 0.0] = -0.0
+    cases = {
+        "gaussian": X,
+        "rounded to 0.5, with -0.0": tied,
+        "mixed +-0 and +-1": rng.choice([-0.0, 0.0, 1.0, -1.0], size=X.shape),
+        "times 1e300": X * 1e300,
+    }
+    for name, data in cases.items():
+        centers, mads = median_mad(data)
+        model = robust_scale_fit(data)
+        assert model.centers.tobytes() == centers.tobytes(), name
+        assert model.scales.tobytes() == np.where(mads == 0.0, 1.0, mads).tobytes(), name
+        expected = (data - centers) / model.scales
+        assert robust_scale_apply(data, model).tobytes() == expected.tobytes(), name
+
+
+def test_robust_scaling_holds_one_working_copy():
+    import tracemalloc
+
+    X = np.random.default_rng(4).normal(size=(2000, 300))
+    for step in (robust_scale_fit, lambda X: _embed(X, True)):
+        tracemalloc.start()
+        try:
+            step(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * X.nbytes, (step, peak / X.nbytes)
 
 
 def test_robust_scale_rejects_nonfinite():

@@ -1,6 +1,7 @@
 """Seed derivation, replication statistics, diagnostic and sweep drivers."""
 
 import math
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,6 @@ from hdbwdm.harness import (
     _TAG_DATASET,
     _TAG_REPLICATION,
     _embedding,
-    _replication_stats,
     RepResult,
     SweepCell,
     derive_seed,
@@ -38,35 +38,40 @@ from hdbwdm.harness import (
 )
 
 
+def _cell(*values):
+    per_rep = tuple(RepResult(rep=i, seed=i, value=v) for i, v in enumerate(values))
+    return SweepCell(p=5, method="rp", per_rep=per_rep)
+
+
 def test_replication_stats_constant_stream():
-    mean, sd, cv = _replication_stats([5.0, 5.0, 5.0])
-    assert (mean, sd, cv) == (5.0, 0.0, 0.0)
+    cell = _cell(5.0, 5.0, 5.0)
+    assert (cell.reps, cell.mean_bwdm, cell.sd_bwdm, cell.cv) == (3, 5.0, 0.0, 0.0)
 
 
 def test_replication_stats_hand_pair():
-    mean, sd, cv = _replication_stats([1.0, 3.0])
-    assert mean == pytest.approx(2.0)
-    assert sd == pytest.approx(math.sqrt(2.0))
-    assert cv == pytest.approx(math.sqrt(2.0) / 2.0)
+    cell = _cell(1.0, 3.0)
+    assert cell.mean_bwdm == pytest.approx(2.0)
+    assert cell.sd_bwdm == pytest.approx(math.sqrt(2.0))
+    assert cell.cv == pytest.approx(math.sqrt(2.0) / 2.0)
 
 
 def test_replication_stats_single_value():
-    mean, sd, cv = _replication_stats([7.0])
-    assert mean == 7.0
-    assert math.isnan(sd)
-    assert math.isnan(cv)
+    cell = _cell(7.0)
+    assert cell.mean_bwdm == 7.0
+    assert math.isnan(cell.sd_bwdm)
+    assert math.isnan(cell.cv)
 
 
 def test_replication_stats_zero_mean_leaves_cv_undefined():
-    mean, sd, cv = _replication_stats([-1.0, 1.0])
-    assert mean == 0.0
-    assert sd == pytest.approx(math.sqrt(2.0))
-    assert math.isnan(cv)
+    cell = _cell(-1.0, 1.0)
+    assert cell.mean_bwdm == 0.0
+    assert cell.sd_bwdm == pytest.approx(math.sqrt(2.0))
+    assert math.isnan(cell.cv)
 
 
 def test_replication_stats_rejects_empty():
     with pytest.raises(ValueError, match="at least one"):
-        _replication_stats([])
+        _cell().mean_bwdm
 
 
 def test_derive_seed_is_a_pure_function_of_the_path():
@@ -123,29 +128,17 @@ def test_sweep_cell_bookkeeping():
     assert [(c.p, c.method) for c in cells] == [(6, "rp"), (6, "pca"), (10, "rp"), (10, "pca")]
     for cell in cells:
         assert cell.reps == len(cell.per_rep) == 3
-        mean, sd, cv = _replication_stats([r.value for r in cell.per_rep])
+        values = [r.value for r in cell.per_rep]
+        mean, sd = statistics.mean(values), statistics.stdev(values)
         assert cell.mean_bwdm == pytest.approx(mean, rel=1e-12)
         assert cell.sd_bwdm == pytest.approx(sd, rel=1e-12)
-        assert cell.cv == pytest.approx(cv, rel=1e-12)
+        assert cell.cv == pytest.approx(sd / mean, rel=1e-12)
         assert cell.sd_bwdm >= 0.0
         for rep_index, rec in enumerate(cell.per_rep):
             assert rec.rep == rep_index
             assert rec.seed == derive_seed(
                 9, _TAG_REPLICATION, cell.p, _METHOD_CODES[cell.method], rec.rep
             )
-
-
-def test_sweep_cell_rejects_mismatched_replication_count():
-    with pytest.raises(ValueError, match="replication records"):
-        SweepCell(
-            p=5,
-            method="rp",
-            reps=2,
-            mean_bwdm=1.0,
-            sd_bwdm=0.0,
-            cv=0.0,
-            per_rep=(RepResult(rep=0, seed=1, value=1.0),),
-        )
 
 
 def test_sweep_validation():
@@ -224,7 +217,7 @@ def test_sweep_identical_seeds_give_zero_sd():
     a = _sweep_job(job, sweep)
     b = _sweep_job(job, sweep)
     assert a == b and a[5] is None
-    assert _replication_stats([a[4], b[4]])[1] == 0.0
+    assert _cell(a[4], b[4]).sd_bwdm == 0.0
 
 
 def test_sweep_failure_cap_names_the_cell():

@@ -53,7 +53,6 @@ def _degenerate_report():
     return IndexReport(
         abdm=2.0,
         awdm=0.0,
-        bwdm=math.inf,
         K=2,
         p=None,
         alpha=0.0,
@@ -61,7 +60,6 @@ def _degenerate_report():
         center_kind="medoid",
         seed=None,
         n_used=4,
-        degenerate=True,
     )
 
 
@@ -242,13 +240,12 @@ def test_sweep_figure_contents():
 # them) and the exact text every writer must produce for them.
 
 def _literal_report(abdm, awdm, K, seed, n_used=40):
-    return IndexReport(abdm=abdm, awdm=awdm, bwdm=abdm / awdm, K=K, p=6, alpha=0.1,
+    return IndexReport(abdm=abdm, awdm=awdm, K=K, p=6, alpha=0.1,
                        projection="rp", center_kind="medoid", seed=seed, n_used=n_used)
 
 
-_DEGENERATE = IndexReport(abdm=2.0, awdm=0.0, bwdm=math.inf, K=2, p=None, alpha=0.0,
-                          projection="none", center_kind="spatial-median", seed=None,
-                          n_used=4, degenerate=True)
+_DEGENERATE = IndexReport(abdm=2.0, awdm=0.0, K=2, p=None, alpha=0.0,
+                          projection="none", center_kind="spatial-median", seed=None, n_used=4)
 _GOLDEN_CONFIG = MixtureConfig(n_inliers=40, d=30, K_true=2, center_spacing=12.5,
                                within_sd=0.5, outlier_fraction=0.1,
                                outlier_range=(-50.0, 50.0), seed=7)
@@ -382,7 +379,7 @@ _SWEEP_CELLS_CSV = _CONFIG_COMMENTS + """\
 # master_seed=9
 # fresh_data=1
 p,method,reps,mean_bwdm,sd_bwdm,cv
-6,rp,2,1.5,0.25,0.16666666666666666
+6,rp,2,1.5,0.3535533905932738,0.23570226039551587
 10,pca,1,2.0,nan,nan
 """
 _SWEEP_REPS_CSV = """\
@@ -396,7 +393,7 @@ _SWEEP_JSON = """\
   "alpha": 0.1,
   "cells": [
     {
-      "cv": 0.16666666666666666,
+      "cv": 0.23570226039551587,
       "mean_bwdm": 1.5,
       "method": "rp",
       "p": 6,
@@ -413,7 +410,7 @@ _SWEEP_JSON = """\
         ]
       ],
       "reps": 2,
-      "sd_bwdm": 0.25
+      "sd_bwdm": 0.3535533905932738
     },
     {
       "cv": NaN,
@@ -504,10 +501,8 @@ def _write_golden(kind, out, fmt):
         write_diagnostic(report, out, fmt)
     elif kind == "sweep":
         cells = [
-            SweepCell(p=6, method="rp", reps=2, mean_bwdm=1.5, sd_bwdm=0.25, cv=1 / 6,
-                      per_rep=(RepResult(0, 101, 1.25), RepResult(2, 103, 1.75))),
-            SweepCell(p=10, method="pca", reps=1, mean_bwdm=2.0, sd_bwdm=math.nan,
-                      cv=math.nan, per_rep=(RepResult(1, 202, 2.0),)),
+            SweepCell(p=6, method="rp", per_rep=(RepResult(0, 101, 1.25), RepResult(2, 103, 1.75))),
+            SweepCell(p=10, method="pca", per_rep=(RepResult(1, 202, 2.0),)),
         ]
         write_sweep(cells, _GOLDEN_CONFIG, 0.1, 9, True, out, fmt)
     else:
@@ -541,3 +536,16 @@ def test_report_files_match_golden_bytes(tmp_path, kind, fmt):
     assert written == set(files)
     for name, text in files.items():
         assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+
+
+def test_readers_recompute_the_derived_columns(tmp_path):
+    # bwdm and degenerate follow abdm and awdm; reps, mean_bwdm, sd_bwdm and
+    # cv follow the replications, whatever the derived columns of a file say
+    (tmp_path / "report.csv").write_text(_INDEX_CSV.replace(",6.0,", ",7.0,").replace(",0\n", ",1\n"))
+    back = read_index_report(tmp_path / "report.csv")
+    assert back == _literal_report(3.0, 0.5, 2, 11)
+    assert (back.bwdm, back.degenerate) == (6.0, False)
+    (tmp_path / "sweep_cells.csv").write_text(_SWEEP_CELLS_CSV.replace("6,rp,2,1.5,", "6,rp,5,9.0,"))
+    (tmp_path / "sweep_reps.csv").write_text(_SWEEP_REPS_CSV)
+    cells, _ = read_sweep(tmp_path)
+    assert (cells[0].reps, cells[0].mean_bwdm, cells[0].sd_bwdm) == (2, 1.5, math.sqrt(0.125))
