@@ -27,7 +27,7 @@ print("centers stay inside the blob.\n")
 # to the average point-to-center distance, so the ratio is large
 X = np.vstack([rng.normal(size=(25, 2)), rng.normal(size=(25, 2)) + 12.0])
 labels = np.array([0] * 25 + [1] * 25)
-part = Partition(labels=labels, K=2, alpha=0.0)
+part = Partition(labels=labels, alpha=0.0)
 
 for kind in ("spatial-median", "medoid"):
     rep = bwdm(X, part, kind)

@@ -113,13 +113,10 @@ def _cmd_generate(args) -> int:
 
 
 def _partition_from_labels(y: np.ndarray) -> Partition:
-    ids = sorted(set(int(v) for v in y if v != OUTLIER))
-    if len(ids) < 2:
-        raise DataError(f"need at least 2 cluster labels, found {len(ids)}")
-    if ids != list(range(len(ids))):
-        raise DataError(f"labels must be contiguous 0..K-1 (plus OUT), found {ids}")
-    labels = np.where(y == OUTLIER, TRIMMED, y)
-    return Partition(labels=labels, K=len(ids), alpha=0.0)
+    part = Partition(labels=np.where(y == OUTLIER, TRIMMED, y), alpha=0.0)
+    if part.K < 2:
+        raise DataError(f"need at least 2 cluster labels, found {part.K}")
+    return part
 
 
 def _cmd_bwdm(args) -> int:

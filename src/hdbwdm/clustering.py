@@ -38,7 +38,7 @@ are the leading K distance rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,31 +64,28 @@ _BLOCK_FLOATS = 2**15  # most floats in a multi-restart group's (restarts, K, n)
 class Partition:
     """Cluster labels for one dataset, with an explicit trimmed sentinel.
 
-    ``labels[i]`` is a cluster id in ``0..K-1`` or :data:`TRIMMED`.
-    ``alpha`` is the trimming proportion the fit was asked for (0 when no
-    trimming was involved).
+    ``labels[i]`` is a cluster id or :data:`TRIMMED`; ``K`` is computed, the
+    largest retained id plus one, and each id in ``0..K-1`` must retain a
+    member.  ``alpha`` is the trimming proportion the fit was asked for (0 if none).
     """
 
     labels: np.ndarray
-    K: int
     alpha: float
+    K: int = field(init=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=int)
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a non-empty 1-D array")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
         if not 0.0 <= self.alpha < 0.5:
             raise ValueError(f"alpha must lie in [0, 0.5), got {self.alpha}")
-        bad = (labels != TRIMMED) & ((labels < 0) | (labels >= self.K))
-        if bad.any():
-            raise ValueError(f"labels outside 0..{self.K - 1} (or TRIMMED) at rows {np.where(bad)[0][:5]}")
-        present = np.unique(labels[labels != TRIMMED])
-        if present.size != self.K:
-            missing = sorted(set(range(self.K)) - set(present.tolist()))
-            raise ValueError(f"cluster ids {missing} have no retained members")
+        present = np.unique(labels[labels != TRIMMED])  # sorted: 0..K-1 when it spans 0..size-1
+        if present.size == 0 or present[0] != 0 or present[-1] != present.size - 1:
+            ids = np.array2string(present, separator=", ", threshold=8, edgeitems=3,
+                                  formatter={"int": str})
+            raise ValueError(f"retained cluster ids must be 0..K-1 with none missing, got {ids}")
+        object.__setattr__(self, "K", int(present[-1]) + 1)
 
     @property
     def n(self) -> int:
@@ -329,7 +326,7 @@ def trimmed_kmeans(
         )
     labels, retained, _ = best
     out = np.where(retained, labels, TRIMMED)
-    return Partition(labels=out, K=K, alpha=float(alpha))
+    return Partition(labels=out, alpha=float(alpha))
 
 
 def cluster_centers(X, part: Partition, kind: str = "medoid", *, memo=None) -> np.ndarray:

@@ -141,7 +141,7 @@ def generate(cfg: MixtureConfig) -> LabeledDataset:
 
 def true_partition(ds: LabeledDataset) -> Partition:
     """Ground-truth labels as a partition, outlier rows marked TRIMMED."""
-    return Partition(labels=ds.labels.copy(), K=ds.config.K_true, alpha=0.0)
+    return Partition(labels=ds.labels.copy(), alpha=0.0)
 
 
 def write_dataset_csv(X, labels, path, header: bool = True) -> None:
@@ -203,7 +203,8 @@ def read_dataset_csv(path, labels: bool | None = None):
     column is labels when that cell is ``label`` (in any case).  Without
     a header the trailing column is labels when any value in it is
     ``OUT``, or when every value in it is a whole number that fits int64.
-    Pass True/False to force.
+    Pass True/False to force.  Every label cell must be ``OUT`` or such a
+    whole number; any other is a :class:`DataError`.
     """
     rows = []
     header_cells = None
@@ -239,9 +240,11 @@ def read_dataset_csv(path, labels: bool | None = None):
         X = _float_matrix(rows)
         y = None
         if labels:
-            y = np.array(
-                [OUTLIER if v.upper() == "OUT" else int(float(v)) for v in last], dtype=int
-            )
+            for v in last:
+                if v.upper() != "OUT" and not _fits_label(v):
+                    int(float(v))  # text, inf and nan: float()'s or int()'s own message
+                    raise ValueError(f"label {v!r} is not a whole number that fits int64")
+            y = np.array([OUTLIER if v.upper() == "OUT" else int(float(v)) for v in last], dtype=int)
     except (ValueError, OverflowError) as exc:
         raise DataError(f"cannot parse dataset file {path}: {exc}") from exc
     if not np.isfinite(X).all():

@@ -198,9 +198,8 @@ def _sub_seeds(seed: int, n: int = 2) -> list[int]:
 
 
 def _embed(X_raw, scale: bool) -> np.ndarray:
-    """Pipeline stage 1: validate the raw matrix once, then robust-scale it."""
-    X = _as_points(X_raw, "X_raw")
-    return robust_scale_apply(X, robust_scale_fit(X)) if scale else X
+    """Pipeline stage 1: robust-scale the raw matrix; the fit and the apply each check it."""
+    return robust_scale_apply(X_raw, robust_scale_fit(X_raw)) if scale else _as_points(X_raw, "X_raw")
 
 
 def _admit(cfg: PipelineConfig, n: int, d: int, truth: Partition | None = None) -> None:
@@ -281,16 +280,20 @@ def hd_bwdm(
 
 @dataclass(frozen=True)
 class SelectKResult:
-    """Outcome of a K scan: the argmax K and the per-K reports.
+    """Outcome of a K scan: the per-K reports and, computed from them, the argmax K.
 
     ``true_report`` is a known partition's score in the scan's embedding;
     only :func:`run_select_k` sets it.
     """
 
-    K_star: int
     reports: dict[int, IndexReport]
     model: ProjectionModel
     true_report: IndexReport | None = None
+
+    @property
+    def K_star(self) -> int:
+        """The K of the largest BWDM; ties go to the smallest K."""
+        return max(sorted(self.reports), key=lambda k: self.reports[k].bwdm)
 
 
 def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
@@ -336,5 +339,4 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
             warnings.warn(f"K={k} skipped: {exc}", stacklevel=2)
     if not reports:
         raise NumericalError(f"no K in {ks[0]}..{ks[-1]} produced a usable fit")
-    best_k = max(sorted(reports), key=lambda k: reports[k].bwdm)  # ties keep the smallest K
-    return SelectKResult(K_star=best_k, reports=reports, model=model)
+    return SelectKResult(reports=reports, model=model)

@@ -231,7 +231,7 @@ def test_criterion_8_oracle_agreement():
         labels[:K] = np.arange(K)
         if rng.random() < 0.4 and n - 1 > K + 1:
             labels[-1] = -1  # one pre-trimmed row
-        part = Partition(labels=labels, K=K, alpha=0.0)
+        part = Partition(labels=labels, alpha=0.0)
         rep = bwdm(X, part, "medoid")
         oa, ow, ob = direct_bwdm(X, labels, K)
         for got, want in ((rep.abdm, oa), (rep.awdm, ow), (rep.bwdm, ob)):
@@ -265,7 +265,7 @@ def _random_labeled(rng, n=24, d=3, K=3):
     X = rng.normal(size=(n, d)) + rng.integers(0, 4, size=(n, 1)) * 6.0
     labels = rng.integers(0, K, size=n)
     labels[:K] = np.arange(K)
-    return X, Partition(labels=labels, K=K, alpha=0.0)
+    return X, Partition(labels=labels, alpha=0.0)
 
 
 def test_criterion_9_invariance_suite():
@@ -299,7 +299,7 @@ def test_criterion_9_invariance_suite():
     for trial in range(100):
         X, part = _random_labeled(rng)
         perm = rng.permutation(part.K)
-        relabeled = Partition(labels=perm[part.labels], K=part.K, alpha=0.0)
+        relabeled = Partition(labels=perm[part.labels], alpha=0.0)
         kind = kinds[trial % 2]
         a = bwdm(X, part, kind)
         b = bwdm(X, relabeled, kind)

@@ -107,12 +107,32 @@ def test_hdbwdm_non_finite_trailing_column_is_a_data_error(tmp_path, capsys, val
     ("nan,2.5\n3.0,4.5\n", "dataset file {path} contains non-finite values"),
     ("x0,\tlabel\n1.0,2\n3.0, inf\n",
      "cannot parse dataset file {path}: cannot convert float infinity to integer"),
+    ("x0,label\n1.0,0\n2.0,1\n3.0,1.5\n4.0,0\n5.0,1\n",
+     "cannot parse dataset file {path}: label '1.5' is not a whole number that fits int64"),
+    ("x0,label\n1.0,0\n2.0,1\n3.0,1e20\n4.0,0\n5.0,1\n",
+     "cannot parse dataset file {path}: label '1e20' is not a whole number that fits int64"),
 ])
 def test_csv_data_errors_exit_2_with_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "data.csv"
     path.write_text(text)
     assert main(["hdbwdm", str(path), "--k", "2", "--p", "1", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "data error: " + message.format(path=path) + "\n"
+
+
+@pytest.mark.parametrize("labels, argv, message", [  # label -1 is written as OUT
+    ([0, 0, 0, 0, -1, 0], ["bwdm"], "need at least 2 cluster labels, found 1"),
+    ([0, 2, 0, 2, -1, 2], ["bwdm"],
+     "retained cluster ids must be 0..K-1 with none missing, got [0, 2]"),
+    (None, ["selectk", "--k-max", "3", "--p", "2", "--score-true", "--input"],
+     "--score-true needs a label column in {path}"),
+])
+def test_label_refusals_exit_2_with_one_line(tmp_path, capsys, labels, argv, message):
+    path = tmp_path / "data.csv"
+    write_dataset_csv(np.arange(18.0).reshape(6, 3) ** 1.5, labels, path)
+    out = tmp_path / "out"
+    assert main(argv + [str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: " + message.format(path=path) + "\n"
+    assert not out.exists()
 
 
 def test_hdbwdm_reads_a_trailing_column_beyond_int64_as_data(tmp_path, capsys):
@@ -236,6 +256,8 @@ def test_sweep_usage_and_numerical_exits(tmp_path):
     (["sweep", "--alpha", "0.7"], "alpha must lie in [0, 0.5), got 0.7"),
     (["sweep", "--reps", "1"], "reps must be >= 2, got 1"),
     (["sweep", "--workers", "0"], "n_workers must be >= 1, got 0"),
+    (["sweep", "--p-list", "4,x"],
+     "cannot parse --p-list '4,x': invalid literal for int() with base 10: 'x'"),
 ])
 def test_bad_harness_values_are_usage_errors_before_any_data(
     tmp_path, capsys, monkeypatch, argv, message

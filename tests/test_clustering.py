@@ -43,18 +43,37 @@ def _clusters(part):
 
 def test_partition_rejects_bad_labels():
     with pytest.raises(ValueError):
-        Partition(labels=np.array([0, 1, 3]), K=3, alpha=0.0)
+        Partition(labels=np.array([0, 1, 3]), alpha=0.0)
     with pytest.raises(ValueError):
-        Partition(labels=np.array([0, -2, 1]), K=2, alpha=0.0)
+        Partition(labels=np.array([0, -2, 1]), alpha=0.0)
 
 
 def test_partition_rejects_empty_cluster():
-    with pytest.raises(ValueError):
-        Partition(labels=np.array([0, 0, 0]), K=2, alpha=0.0)
+    # K is the largest retained id plus one, so a gap leaves a cluster empty
+    with pytest.raises(ValueError, match=r"must be 0\.\.K-1 with none missing, got \[0, 2\]$"):
+        Partition(labels=np.array([0, 0, 2]), alpha=0.0)
+    with pytest.raises(ValueError, match=r"got \[\]$"):
+        Partition(labels=np.array([TRIMMED, TRIMMED]), alpha=0.0)
+
+
+@pytest.mark.parametrize("n, K, alpha, n_init, message", [
+    (6, 1, 0.0, 10, "K must be >= 2, got 1"),
+    (6, 2, 0.5, 10, r"alpha must lie in \[0, 0\.5\), got 0\.5"),
+    (6, 2, -0.1, 10, r"alpha must lie in \[0, 0\.5\), got -0\.1"),
+    (4, 3, 0.45, 10, "trimming 2 of 4 rows leaves fewer than K=3 retained observations"),
+    (6, 2, 0.0, 0, "n_init must be >= 1, got 0"),
+])
+def test_trimmed_kmeans_refuses_bad_arguments_as_usage_errors(n, K, alpha, n_init, message):
+    X = np.arange(2.0 * n).reshape(n, 2)
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        trimmed_kmeans(X, K, alpha, seed=0, n_init=n_init)
 
 
 def test_partition_counts():
-    part = Partition(labels=np.array([0, TRIMMED, 1, 0]), K=2, alpha=0.0)
+    part = Partition(labels=np.array([0, TRIMMED, 1, 0]), alpha=0.0)
+    assert part.K == 2
+    with pytest.raises(TypeError):  # K is computed from the labels, never passed
+        Partition(labels=part.labels, K=2, alpha=0.0)
     assert part.n == 4
     assert part.retained_count == 3
     assert list(part.trimmed_mask) == [False, True, False, False]
@@ -494,7 +513,7 @@ def test_shared_seedings_are_unchanged_by_every_fit_of_a_scan():
 
 def test_cluster_centers_singleton():
     X = np.array([[4.0, 1.0], [0.0, 0.0], [0.1, 0.0]])
-    part = Partition(labels=np.array([0, 1, 1]), K=2, alpha=0.0)
+    part = Partition(labels=np.array([0, 1, 1]), alpha=0.0)
     for kind in ("medoid", "spatial-median"):
         centers = cluster_centers(X, part, kind=kind)
         assert np.allclose(centers[0], [4.0, 1.0])
@@ -502,7 +521,7 @@ def test_cluster_centers_singleton():
 
 def test_cluster_centers_hand_values():
     X = np.array([[0.0], [1.0], [2.0]])
-    part = Partition(labels=np.array([0, 0, 0]), K=1, alpha=0.0)
+    part = Partition(labels=np.array([0, 0, 0]), alpha=0.0)
     assert np.allclose(cluster_centers(X, part, kind="medoid"), [[1.0]])
     assert np.allclose(cluster_centers(X, part, kind="spatial-median"), [[1.0]])
 
@@ -511,7 +530,7 @@ def test_cluster_centers_even_set():
     # spatial median of an even 1-D set is the central midpoint; the medoid
     # stays on the lower of the tied members
     X = np.array([[0.0], [1.0], [2.0], [9.0]])
-    part = Partition(labels=np.zeros(4, dtype=int), K=1, alpha=0.0)
+    part = Partition(labels=np.zeros(4, dtype=int), alpha=0.0)
     assert np.allclose(cluster_centers(X, part, kind="spatial-median"), [[1.5]])
     assert np.allclose(cluster_centers(X, part, kind="medoid"), [[1.0]])
 
@@ -529,24 +548,22 @@ def test_medoid_centers_are_members():
 def test_cluster_centers_trimmed_rows_excluded():
     X = np.array([[0.0], [1.0], [2.0], [50.0]])
     labels = np.array([0, 0, 0, TRIMMED])
-    part = Partition(labels=labels, K=1, alpha=0.25)
+    part = Partition(labels=labels, alpha=0.25)
     assert np.allclose(cluster_centers(X, part, kind="medoid"), [[1.0]])
 
 
 def test_cluster_centers_refuses_an_unknown_kind_as_a_usage_error():
-    part = Partition(labels=np.array([0, 0, 1]), K=2, alpha=0.0)
+    part = Partition(labels=np.array([0, 0, 1]), alpha=0.0)
     with pytest.raises(UsageError, match="kind must be 'medoid' or 'spatial-median', got 'mean'"):
         cluster_centers(np.zeros((3, 1)), part, kind="mean")
 
 
 def test_cluster_centers_empty_cluster_message():
-    part = Partition(labels=np.array([0, 0, 1]), K=2, alpha=0.0)
-    bad = Partition(
-        labels=np.array([0, 0, TRIMMED]), K=1, alpha=0.0
-    )
+    part = Partition(labels=np.array([0, 0, 1]), alpha=0.0)
+    bad = Partition(labels=np.array([0, 0, TRIMMED]), alpha=0.0)
     X = np.zeros((3, 1))
     cluster_centers(X, part)  # fine
-    part2 = Partition(labels=np.array([0, TRIMMED, 0]), K=1, alpha=0.0)
+    part2 = Partition(labels=np.array([0, TRIMMED, 0]), alpha=0.0)
     cluster_centers(X, part2)  # fine: cluster 0 retains two rows
     with pytest.raises(ValueError, match="cluster 1"):
         broken = Partition.__new__(Partition)

@@ -267,7 +267,7 @@ def test_run_select_k_on_a_plain_matrix(kmeanspp_calls):
     kmeanspp_calls.clear()
     with pytest.raises(ValueError, match="true_labels cover 10 rows but the data has 30"):
         run_select_k(X, [2, 3], template,
-                     truth=Partition(labels=[0, 1] * 5, K=2, alpha=0.0))
+                     truth=Partition(labels=[0, 1] * 5, alpha=0.0))
     assert kmeanspp_calls == []  # refused before the scan seeds anything
 
 

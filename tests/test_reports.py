@@ -434,7 +434,7 @@ _SWEEP_JSON = """\
 }
 """
 _SELECTK_CSV = """\
-# k_star=3
+# k_star=2
 candidate_k,abdm,awdm,bwdm,k,p,alpha,projection,center_kind,seed,n_used,degenerate
 2,2.0,0.0,inf,2,FULL,0.0,none,spatial-median,none,4,1
 3,4.0,0.5,8.0,3,6,0.1,rp,medoid,31,40,0
@@ -442,7 +442,7 @@ true,4.5,0.5,9.0,3,6,0.1,rp,medoid,31,36,0
 """
 _SELECTK_JSON = """\
 {
-  "k_star": 3,
+  "k_star": 2,
   "reports": {
     "2": {
       "abdm": 2.0,
@@ -509,7 +509,7 @@ def _write_golden(kind, out, fmt):
         # candidates deliberately out of order: the CSV rows come out sorted
         reports = {3: _literal_report(4.0, 0.5, 3, 31), 2: _DEGENERATE}
         true_report = _literal_report(4.5, 0.5, 3, 31, n_used=36)
-        result = SelectKResult(K_star=3, reports=reports, model=fit_random_projection(4, 2, 0),
+        result = SelectKResult(reports=reports, model=fit_random_projection(4, 2, 0),
                                true_report=true_report)
         write_select_k(result, out, fmt)
 

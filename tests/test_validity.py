@@ -15,6 +15,7 @@ from hdbwdm import (
     Partition,
     PipelineConfig,
     ProjectionModel,
+    SelectKResult,
     TRIMMED,
     UsageError,
     abdm,
@@ -35,8 +36,8 @@ from hdbwdm.validity import _sub_seeds
 from oracles import direct_bwdm
 
 
-def _centers(points, labels, K, kind="spatial-median"):
-    part = Partition(labels=np.asarray(labels), K=K, alpha=0.0)
+def _centers(points, labels, kind="spatial-median"):
+    part = Partition(labels=np.asarray(labels), alpha=0.0)
     return cluster_centers(np.asarray(points, dtype=float), part, kind=kind)
 
 
@@ -45,23 +46,23 @@ TOY_LABELS = np.array([0, 0, 0, 1, 1, 1])
 
 
 def test_abdm_single_pair():
-    centers = _centers([[0.0, 0.0], [3.0, 4.0]], [0, 1], 2)
+    centers = _centers([[0.0, 0.0], [3.0, 4.0]], [0, 1])
     assert abdm(centers) == pytest.approx(5.0)
 
 
 def test_abdm_345_triangle():
     # ordered pairs double each side: 2*(3+4+5)/6 = 4
-    centers = _centers([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]], [0, 1, 2], 3)
+    centers = _centers([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]], [0, 1, 2])
     assert abdm(centers) == pytest.approx(4.0)
 
 
 def test_abdm_coincident_centers():
-    centers = _centers([[1.0, 1.0], [1.0, 1.0]], [0, 1], 2)
+    centers = _centers([[1.0, 1.0], [1.0, 1.0]], [0, 1])
     assert abdm(centers) == 0.0
 
 
 def test_abdm_needs_two_clusters():
-    centers = _centers([[0.0], [1.0]], [0, 0], 1)
+    centers = _centers([[0.0], [1.0]], [0, 0])
     with pytest.raises(ValueError):
         abdm(centers)
 
@@ -90,7 +91,7 @@ def test_pair_distances_are_bitwise_pdist():
 
 
 def test_awdm_hand_value():
-    part = Partition(labels=TOY_LABELS, K=2, alpha=0.0)
+    part = Partition(labels=TOY_LABELS, alpha=0.0)
     centers = cluster_centers(TOY_X, part, kind="spatial-median")
     assert awdm(TOY_X, part, centers) == pytest.approx(1.0)
 
@@ -98,21 +99,21 @@ def test_awdm_hand_value():
 def test_awdm_trimmed_rows_contribute_nothing():
     X = np.array([[0.0], [1.0], [2.0], [50.0], [10.0], [11.0], [12.0]])
     labels = np.array([0, 0, 0, TRIMMED, 1, 1, 1])
-    part = Partition(labels=labels, K=2, alpha=0.0)
+    part = Partition(labels=labels, alpha=0.0)
     centers = cluster_centers(X, part, kind="spatial-median")
     assert awdm(X, part, centers) == pytest.approx(1.0)
 
 
 def test_awdm_requires_retained_above_k():
     X = np.array([[0.0], [10.0]])
-    part = Partition(labels=np.array([0, 1]), K=2, alpha=0.0)
+    part = Partition(labels=np.array([0, 1]), alpha=0.0)
     centers = cluster_centers(X, part)
     with pytest.raises(ValueError):
         awdm(X, part, centers)
 
 
 def test_bwdm_hand_value_both_center_kinds():
-    part = Partition(labels=TOY_LABELS, K=2, alpha=0.0)
+    part = Partition(labels=TOY_LABELS, alpha=0.0)
     for kind in ("spatial-median", "medoid"):
         rep = bwdm(TOY_X, part, center_kind=kind)
         assert rep.abdm == pytest.approx(10.0)
@@ -123,7 +124,7 @@ def test_bwdm_hand_value_both_center_kinds():
 
 def test_bwdm_degenerate_duplicate_points():
     X = np.array([[1.0], [1.0], [1.0], [5.0], [5.0], [5.0]])
-    part = Partition(labels=TOY_LABELS, K=2, alpha=0.0)
+    part = Partition(labels=TOY_LABELS, alpha=0.0)
     rep = bwdm(X, part)
     assert rep.awdm == 0.0
     assert rep.degenerate and math.isinf(rep.bwdm)
@@ -132,7 +133,7 @@ def test_bwdm_degenerate_duplicate_points():
 def test_bwdm_coincident_centers_score_zero():
     # two labels drawn over one interleaved set: centers collide, abdm 0
     X = np.array([[0.0], [1.0], [2.0], [0.0], [1.0], [2.0]])
-    part = Partition(labels=np.array([0, 0, 0, 1, 1, 1]), K=2, alpha=0.0)
+    part = Partition(labels=np.array([0, 0, 0, 1, 1, 1]), alpha=0.0)
     rep = bwdm(X, part, center_kind="spatial-median")
     assert rep.abdm == pytest.approx(0.0)
     assert rep.bwdm == pytest.approx(0.0)
@@ -141,7 +142,7 @@ def test_bwdm_coincident_centers_score_zero():
 def test_bwdm_report_ratio_consistency():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(20, 3))
-    part = Partition(labels=rng.integers(0, 3, size=20), K=3, alpha=0.0)
+    part = Partition(labels=rng.integers(0, 3, size=20), alpha=0.0)
     rep = bwdm(X, part)
     assert rep.bwdm == pytest.approx(rep.abdm / rep.awdm, rel=1e-12)
 
@@ -174,7 +175,7 @@ def test_bwdm_matches_direct_oracle():
         X = rng.normal(size=(n, d))
         labels = rng.integers(0, K, size=n)
         labels[:K] = np.arange(K)  # every cluster inhabited
-        part = Partition(labels=labels, K=K, alpha=0.0)
+        part = Partition(labels=labels, alpha=0.0)
         rep = bwdm(X, part, center_kind="medoid")
         oa, ow, ob = direct_bwdm(X, labels, K)
         assert rep.abdm == pytest.approx(oa, abs=1e-12)
@@ -186,7 +187,7 @@ def _random_labeled(rng, n=24, d=3, K=3):
     X = rng.normal(size=(n, d)) + rng.integers(0, 4, size=(n, 1)) * 6.0
     labels = rng.integers(0, K, size=n)
     labels[:K] = np.arange(K)
-    return X, Partition(labels=labels, K=K, alpha=0.0)
+    return X, Partition(labels=labels, alpha=0.0)
 
 
 def test_bwdm_scale_equivariance_quick():
@@ -218,9 +219,7 @@ def test_bwdm_label_permutation_invariance_quick():
     for _ in range(10):
         X, part = _random_labeled(rng)
         perm = rng.permutation(part.K)
-        relabeled = Partition(
-            labels=perm[part.labels], K=part.K, alpha=0.0
-        )
+        relabeled = Partition(labels=perm[part.labels], alpha=0.0)
         a = bwdm(X, part, center_kind="medoid")
         b = bwdm(X, relabeled, center_kind="medoid")
         assert b.bwdm == pytest.approx(a.bwdm, rel=1e-12)
@@ -252,7 +251,7 @@ def test_hd_bwdm_full_rank_orthonormal_matches_plain_bwdm():
                          center_kind="medoid", seed=0)
     rep = hd_bwdm(X, cfg, projection_model=_identity_like_model(4))
     scaled = robust_scale_apply(X, robust_scale_fit(X))
-    part = Partition(labels=np.repeat([0, 1], 20), K=2, alpha=0.0)
+    part = Partition(labels=np.repeat([0, 1], 20), alpha=0.0)
     plain = bwdm(scaled, part, center_kind="medoid")
     assert rep.bwdm == pytest.approx(plain.bwdm, rel=1e-6)
 
@@ -278,7 +277,7 @@ def test_hd_bwdm_true_labels_trim_outliers():
     ])
     truth = Partition(
         labels=np.concatenate([np.zeros(15, int), np.ones(15, int), np.full(3, TRIMMED)]),
-        K=2, alpha=0.0,
+        alpha=0.0,
     )
     # the labels fix K and the trimmed rows: cfg.K and cfg.alpha go unused
     rep = hd_bwdm(X, PipelineConfig(K=3, p=4, seed=3), true_labels=truth)
@@ -326,7 +325,7 @@ def test_pipeline_config_k_is_needed_only_to_fit():
     res = select_k(X, range(2, 5), template)
     assert res.true_report is None
     assert res.reports == select_k(X, range(2, 5), replace(template, K=2)).reports
-    truth = Partition(labels=np.repeat([0, 1, 2], 30), K=3, alpha=0.0)
+    truth = Partition(labels=np.repeat([0, 1, 2], 30), alpha=0.0)
     assert hd_bwdm(X, template, truth) == hd_bwdm(X, replace(template, K=2), truth)
     with pytest.raises(UsageError) as err:  # a value the caller chose: exit 1 on the CLI
         hd_bwdm(X, template)
@@ -361,6 +360,19 @@ def test_select_k_returns_argmax_with_low_tie():
         res = select_k(_three_blob_2d(seed), range(2, 7), cfg)
         best = min(res.reports, key=lambda k: (-res.reports[k].bwdm, k))
         assert res.K_star == best
+
+
+def test_k_star_is_computed_from_the_reports_with_ties_to_the_smallest_k():
+    def report(k, abdm):
+        return IndexReport(abdm=abdm, awdm=1.0, K=k, p=2, alpha=0.0, projection="rp",
+                           center_kind="medoid", seed=0, n_used=10)
+
+    reports = {4: report(4, 3.0), 3: report(3, 3.0), 2: report(2, 1.0)}
+    result = SelectKResult(reports=reports, model=_identity_like_model(2))
+    assert result.K_star == 3
+    assert replace(result, reports={**reports, 2: replace(reports[2], awdm=0.0)}).K_star == 2
+    with pytest.raises(TypeError):  # K* is the reports' argmax, never passed
+        SelectKResult(K_star=3, reports=reports, model=result.model)
 
 
 def test_select_k_range_validation():
