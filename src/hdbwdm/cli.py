@@ -11,7 +11,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import warnings
@@ -30,9 +29,9 @@ from .datagen import (
 )
 from .errors import DataError, NumericalError, UsageError
 from .harness import run_diagnostic, run_select_k, run_sweep
+from .projection import _KINDS
 from .reports import (
-    _config_dict,
-    _write_json,
+    write_dataset_json,
     write_diagnostic,
     write_index_report,
     write_select_k,
@@ -58,14 +57,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_mixture(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("mixture")
-    g.add_argument("--n-inliers", type=int, default=500)
-    g.add_argument("--d", type=int, default=500)
-    g.add_argument("--k-true", type=int, default=5)
-    g.add_argument("--spacing", type=float, default=15.0)
-    g.add_argument("--within-sd", type=float, default=math.sqrt(0.5))
-    g.add_argument("--outlier-fraction", type=float, default=0.10)
-    g.add_argument("--outlier-lo", type=float, default=-100.0)
-    g.add_argument("--outlier-hi", type=float, default=100.0)
+    g.add_argument("--n-inliers", type=int, default=MixtureConfig.n_inliers)
+    g.add_argument("--d", type=int, default=MixtureConfig.d)
+    g.add_argument("--k-true", type=int, default=MixtureConfig.K_true)
+    g.add_argument("--spacing", type=float, default=MixtureConfig.center_spacing)
+    g.add_argument("--within-sd", type=float, default=MixtureConfig.within_sd)
+    g.add_argument("--outlier-fraction", type=float, default=MixtureConfig.outlier_fraction)
+    g.add_argument("--outlier-lo", type=float, default=MixtureConfig.outlier_range[0])
+    g.add_argument("--outlier-hi", type=float, default=MixtureConfig.outlier_range[1])
 
 
 def _mixture_from(args) -> MixtureConfig:
@@ -94,17 +93,11 @@ def _pipeline_from(args, K=None) -> PipelineConfig:
 
 
 def _cmd_generate(args) -> int:
-    cfg = _mixture_from(args)
-    ds = generate(cfg)
+    ds = generate(_mixture_from(args))
     os.makedirs(args.out, exist_ok=True)
     if args.format == "json":
-        obj = {
-            "config": _config_dict(cfg),
-            "X": ds.X.tolist(),
-            "labels": ["OUT" if v == OUTLIER else int(v) for v in ds.labels],
-        }
         path = os.path.join(args.out, "dataset.json")
-        _write_json(path, obj)
+        write_dataset_json(ds, path)
     else:
         path = os.path.join(args.out, "dataset.csv")
         write_dataset_csv(ds.X, ds.labels, path, header=not args.no_header)
@@ -148,8 +141,7 @@ def _cmd_hdbwdm(args) -> int:
 def _cmd_diagnostic(args) -> int:
     report = run_diagnostic(_mixture_from(args), args.p, args.alpha, args.seed)
     write_diagnostic(report, args.out, args.format)
-    for name in ("true", "kmeans", "trimmed-kmeans"):
-        e = report.entries[name]
+    for name, e in report.entries.items():
         print(f"{name}: bwdm={e.bwdm!r} (abdm={e.abdm!r}, awdm={e.awdm!r})")
     print(f"wrote {os.path.join(args.out, 'diagnostic.' + args.format)}")
     return 0
@@ -240,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="dataset CSV (label column ignored if present)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--method", choices=("rp", "pca"), default="rp")
+    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
+    p.add_argument("--method", choices=_KINDS, default=PipelineConfig.projection)
     p.add_argument("--center", choices=sorted(_CENTER_NAMES), default="medoid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-scale", action="store_true", help="skip median/MAD scaling")
@@ -251,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnostic", help="true vs fitted partitions on one dataset")
     _add_mixture(p)
     p.add_argument("--p", type=int, default=150)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_diagnostic)
@@ -259,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="replicated index sweep over p and methods")
     _add_mixture(p)
     p.add_argument("--p-list", default="150,300,400", help="comma-separated p values")
-    p.add_argument("--methods", default="rp,pca", help="comma-separated subset of rp,pca")
+    methods = ",".join(_KINDS)
+    p.add_argument("--methods", default=methods, help=f"comma-separated subset of {methods}")
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fresh-data", action="store_true", help="regenerate data per replication")
     p.add_argument("--workers", type=int, default=1)
@@ -274,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--p", type=int, default=150)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--method", choices=("rp", "pca"), default="rp")
+    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
+    p.add_argument("--method", choices=_KINDS, default=PipelineConfig.projection)
     p.add_argument("--center", choices=sorted(_CENTER_NAMES), default="medoid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-scale", action="store_true")

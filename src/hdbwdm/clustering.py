@@ -55,6 +55,7 @@ __all__ = [
 
 TRIMMED = -1  # label sentinel for observations excluded from every cluster
 
+_CENTER_KINDS = ("medoid", "spatial-median")  # what cluster_centers computes
 _N_INIT = 10  # restarts per fit
 _MAX_ITER = 100  # concentration steps per restart, at most
 _BLOCK_FLOATS = 2**15  # most floats in a multi-restart group's (restarts, K, n) distances: 256 KB
@@ -341,8 +342,8 @@ def cluster_centers(X, part: Partition, kind: str = "medoid", *, memo=None) -> n
     partition of the same ``X`` with the same ``kind``; a K scan passes one
     for its whole call, since splitting one cluster leaves the others as they were.
     """
-    if kind not in ("medoid", "spatial-median"):
-        raise UsageError(f"kind must be 'medoid' or 'spatial-median', got {kind!r}")
+    if kind not in _CENTER_KINDS:
+        raise UsageError(f"kind must be {' or '.join(map(repr, _CENTER_KINDS))}, got {kind!r}")
     X = _as_points(X, "X")
     if X.shape[0] != part.n:
         raise ValueError(f"X has {X.shape[0]} rows but the partition labels {part.n}")
@@ -351,8 +352,6 @@ def cluster_centers(X, part: Partition, kind: str = "medoid", *, memo=None) -> n
     centers = np.empty((part.K, X.shape[1]))
     for k in range(part.K):
         idx = np.flatnonzero(part.labels == k)
-        if idx.size == 0:
-            raise ValueError(f"cluster {k} has no retained members")
         key = idx.tobytes()
         if key not in memo:
             members = X[idx]

@@ -195,20 +195,21 @@ def _float_matrix(rows: list[list[str]]) -> np.ndarray:
         raise
 
 
-def read_dataset_csv(path, labels: bool | None = None):
+def read_dataset_csv(path):
     """Read a dataset CSV, returning ``(X, labels_or_None)``.
 
-    A header row is detected by non-numeric leading tokens.  With
-    ``labels=None`` a header's last cell alone decides: the trailing
-    column is labels when that cell is ``label`` (in any case).  Without
-    a header the trailing column is labels when any value in it is
-    ``OUT``, or when every value in it is a whole number that fits int64.
-    Pass True/False to force.  Every label cell must be ``OUT`` or such a
-    whole number; any other is a :class:`DataError`.
+    The file is UTF-8, with or without a byte-order mark.  A header row is
+    detected by non-numeric leading tokens; it must have as many cells as
+    the rows.  A header's last cell alone decides: the trailing column is
+    labels when that cell is ``label`` (in any case).  Without a header
+    the trailing column is labels when any value in it is ``OUT``, or
+    when every value in it is a whole number that fits int64.  Every
+    label cell must be ``OUT`` or such a whole number; any other is a
+    :class:`DataError`.
     """
     rows = []
     header_cells = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -224,13 +225,17 @@ def read_dataset_csv(path, labels: bool | None = None):
     if any(len(r) != width for r in rows):
         raise DataError(f"dataset file {path} has ragged rows")
     last = [r[-1].strip() for r in rows]
-    if labels is None:
-        if header_cells is not None:
-            labels = header_cells[-1].lower() == "label"
-        elif any(v.upper() == "OUT" for v in last):
-            labels = True
-        else:
-            labels = width > 1 and all(_fits_label(v) for v in last)
+    if header_cells is None:
+        labels = any(v.upper() == "OUT" for v in last) or (
+            width > 1 and all(_fits_label(v) for v in last)
+        )
+    elif len(header_cells) != width:
+        raise DataError(
+            f"dataset file {path} has a header of {len(header_cells)} cells, "
+            f"but its rows have {width}"
+        )
+    else:
+        labels = header_cells[-1].lower() == "label"
     if labels and width < 2:
         raise DataError(f"dataset file {path} has no feature columns beside the label")
     if labels:

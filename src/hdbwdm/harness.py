@@ -17,7 +17,7 @@ import numpy as np
 from .clustering import Partition, kmeans, trimmed_kmeans
 from .datagen import MixtureConfig, generate, true_partition
 from .errors import NumericalError, UsageError
-from .projection import fit_pca, fit_random_projection, project
+from .projection import _KINDS, fit_pca, fit_random_projection, project
 from .validity import IndexReport, PipelineConfig, SelectKResult, hd_bwdm, select_k
 from .validity import _admit, _embed, _fit_model, _score
 
@@ -30,8 +30,6 @@ __all__ = [
     "run_sweep",
     "run_select_k",
 ]
-
-_METHOD_CODES = {"rp": 0, "pca": 1}
 
 # path tags under the master seed
 _TAG_DATASET = 0
@@ -219,8 +217,8 @@ def run_sweep(
     if not p_values or not methods:
         raise UsageError("p_values and methods must be non-empty")
     for m in methods:
-        if m not in _METHOD_CODES:
-            raise UsageError(f"unknown method {m!r}, expected one of {sorted(_METHOD_CODES)}")
+        if m not in _KINDS:
+            raise UsageError(f"unknown method {m!r}, expected one of {sorted(_KINDS)}")
     for name, values in (("p_values", p_values), ("methods", methods)):
         if len(set(values)) < len(values):
             raise UsageError(f"{name} must not repeat, got {values}")
@@ -236,7 +234,7 @@ def run_sweep(
     fixed = (None, None) if fresh_data else _embedding(cfg, master_seed, p_values, methods)
     sweep = (cfg, float(alpha), *fixed)
     jobs = [
-        (p, method, rep, derive_seed(master_seed, _TAG_REPLICATION, p, _METHOD_CODES[method], rep))
+        (p, method, rep, derive_seed(master_seed, _TAG_REPLICATION, p, _KINDS.index(method), rep))
         for p in p_values
         for method in methods
         for rep in range(reps)

@@ -32,7 +32,7 @@ __all__ = [
     "distortion_profile",
 ]
 
-_KINDS = ("rp", "pca")
+_KINDS = ("rp", "pca")  # the projection methods; a sweep's seed path holds a method's position
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ import math
 import os
 from dataclasses import asdict, fields
 
-from .datagen import MixtureConfig
+from .datagen import OUTLIER, LabeledDataset, MixtureConfig
 from .errors import DataError
 from .harness import DiagnosticReport, RepResult, SweepCell
 from .validity import IndexReport, SelectKResult
 
 __all__ = [
+    "write_dataset_json",
     "write_index_report",
     "read_index_report",
     "write_diagnostic",
@@ -107,14 +108,27 @@ def _read_json(path):
 
 
 def _report_row(rep: IndexReport) -> list:
-    d = rep.to_dict()
-    return [d[c] for c in _REPORT_COLS]
+    """A report's values in ``_REPORT_COLS`` order; ``p`` is ``"FULL"`` in the original space."""
+    return [
+        rep.abdm, rep.awdm, rep.bwdm, rep.K, "FULL" if rep.p is None else rep.p, rep.alpha,
+        rep.projection, rep.center_kind, rep.seed, rep.n_used, rep.degenerate,
+    ]
 
 
-def _report_from_cells(cells: dict) -> IndexReport:
-    """``IndexReport.from_dict`` converts the types; only the CSV spelling of no seed differs."""
-    seed = None if cells["seed"] == "none" else cells["seed"]
-    return IndexReport.from_dict({**cells, "seed": seed})
+def _report_dict(rep: IndexReport) -> dict:
+    return dict(zip(_REPORT_COLS, _report_row(rep)))
+
+
+def _report_from(d: dict) -> IndexReport:
+    """A report from a JSON object or a CSV row: ``p`` may be None or ``"FULL"``, and
+    ``seed`` None or ``"none"``; ``bwdm`` and ``degenerate`` are not read."""
+    p, seed = d["p"], d["seed"]
+    return IndexReport(
+        abdm=float(d["abdm"]), awdm=float(d["awdm"]), K=int(d["k"]),
+        p=None if p in (None, "FULL") else int(p), alpha=float(d["alpha"]),
+        projection=str(d["projection"]), center_kind=str(d["center_kind"]),
+        seed=None if seed in (None, "none") else int(seed), n_used=int(d["n_used"]),
+    )
 
 
 def _config_dict(cfg: MixtureConfig) -> dict:
@@ -143,22 +157,33 @@ def _config_from(info: dict) -> MixtureConfig:
     })
 
 
+# -------------------------------------------------------------------- dataset
+
+def write_dataset_json(ds: LabeledDataset, path) -> None:
+    """Write a generated dataset as JSON: its config, rows and labels, outliers as ``OUT``."""
+    _write_json(path, {
+        "config": _config_dict(ds.config),
+        "X": ds.X.tolist(),
+        "labels": ["OUT" if v == OUTLIER else int(v) for v in ds.labels],
+    })
+
+
 # ---------------------------------------------------------------- index report
 
 def write_index_report(report: IndexReport, path, fmt: str = "csv") -> None:
     if fmt == "json":
-        _write_json(path, report.to_dict())
+        _write_json(path, _report_dict(report))
     else:
         _write_csv(path, _REPORT_COLS, [_report_row(report)])
 
 
 def read_index_report(path, fmt: str = "csv") -> IndexReport:
     if fmt == "json":
-        return IndexReport.from_dict(_read_json(path))
+        return _report_from(_read_json(path))
     _, rows = _read_csv(path)
     if len(rows) != 1:
         raise DataError(f"{path} should hold exactly one report row, has {len(rows)}")
-    return _report_from_cells(rows[0])
+    return _report_from(rows[0])
 
 
 # ----------------------------------------------------------------- diagnostic
@@ -168,7 +193,7 @@ def write_diagnostic(report: DiagnosticReport, out_dir, fmt: str = "csv") -> Non
     os.makedirs(out_dir, exist_ok=True)
     info = {f: getattr(report, f) for f in _DIAG_FIELDS}
     if fmt == "json":
-        entries = {k: v.to_dict() for k, v in report.entries.items()}
+        entries = {k: _report_dict(v) for k, v in report.entries.items()}
         obj = {"config": _config_dict(report.config), **info, "entries": entries}
         _write_json(os.path.join(out_dir, "diagnostic.json"), obj)
     else:
@@ -185,10 +210,10 @@ def write_diagnostic(report: DiagnosticReport, out_dir, fmt: str = "csv") -> Non
 def read_diagnostic(out_dir, fmt: str = "csv") -> DiagnosticReport:
     if fmt == "json":
         info = _read_json(os.path.join(out_dir, "diagnostic.json"))
-        entries = {k: IndexReport.from_dict(v) for k, v in info["entries"].items()}
+        entries = {k: _report_from(v) for k, v in info["entries"].items()}
     else:
         info, rows = _read_csv(os.path.join(out_dir, "diagnostic.csv"))
-        entries = {row["partition"]: _report_from_cells(row) for row in rows}
+        entries = {row["partition"]: _report_from(row) for row in rows}
     return DiagnosticReport(
         entries=entries,
         config=_config_from(info),
@@ -276,8 +301,8 @@ def write_select_k(report: SelectKResult, out_dir, fmt: str = "csv") -> None:
     if fmt == "json":
         obj = {
             "k_star": report.K_star,
-            "reports": {str(k): v.to_dict() for k, v in report.reports.items()},
-            "true_report": None if report.true_report is None else report.true_report.to_dict(),
+            "reports": {str(k): _report_dict(v) for k, v in report.reports.items()},
+            "true_report": None if report.true_report is None else _report_dict(report.true_report),
         }
         _write_json(os.path.join(out_dir, "selectk.json"), obj)
         return

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clustering import _N_INIT, Partition, _seedings, cluster_centers, trimmed_kmeans
+from .clustering import _CENTER_KINDS, _N_INIT, Partition, _seedings
+from .clustering import cluster_centers, trimmed_kmeans
 from .errors import NumericalError, UsageError
 from .geometry import _as_points, _distance_kernels, robust_scale_apply, robust_scale_fit
-from .projection import ProjectionModel, fit_pca, fit_random_projection, project
+from .projection import _KINDS, ProjectionModel, fit_pca, fit_random_projection, project
 
 __all__ = [
     "IndexReport",
@@ -33,19 +34,15 @@ __all__ = [
     "select_k",
 ]
 
-_PROJECTIONS = ("rp", "pca")
-_CENTER_KINDS = ("medoid", "spatial-median")
-
 
 @dataclass(frozen=True)
 class IndexReport:
     """One evaluated index value with full provenance.
 
     ``p`` is None when the index was computed in the original
-    (unprojected) space; serializers spell that as ``"FULL"``.
-    ``degenerate`` marks a zero within-cluster distance sum, in which
-    case ``bwdm`` is the +inf sentinel; both are computed from ``abdm``
-    and ``awdm``.
+    (unprojected) space.  ``degenerate`` marks a zero within-cluster
+    distance sum, in which case ``bwdm`` is the +inf sentinel; both are
+    computed from ``abdm`` and ``awdm``.
     """
 
     abdm: float
@@ -65,36 +62,6 @@ class IndexReport:
     @property
     def bwdm(self) -> float:
         return math.inf if self.degenerate else self.abdm / self.awdm
-
-    def to_dict(self) -> dict:
-        return {
-            "abdm": self.abdm,
-            "awdm": self.awdm,
-            "bwdm": self.bwdm,
-            "k": self.K,
-            "p": "FULL" if self.p is None else self.p,
-            "alpha": self.alpha,
-            "projection": self.projection,
-            "center_kind": self.center_kind,
-            "seed": self.seed,
-            "n_used": self.n_used,
-            "degenerate": self.degenerate,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IndexReport":
-        p = d["p"]
-        return cls(
-            abdm=float(d["abdm"]),
-            awdm=float(d["awdm"]),
-            K=int(d["k"]),
-            p=None if p in (None, "FULL") else int(p),
-            alpha=float(d["alpha"]),
-            projection=str(d["projection"]),
-            center_kind=str(d["center_kind"]),
-            seed=None if d["seed"] is None else int(d["seed"]),
-            n_used=int(d["n_used"]),
-        )
 
 
 def abdm(centers) -> float:
@@ -184,8 +151,8 @@ class PipelineConfig:
             raise UsageError(f"p must be >= 1, got {self.p}")
         if not 0.0 <= self.alpha < 0.5:
             raise UsageError(f"alpha must lie in [0, 0.5), got {self.alpha}")
-        if self.projection not in _PROJECTIONS:
-            raise UsageError(f"projection must be one of {_PROJECTIONS}, got {self.projection!r}")
+        if self.projection not in _KINDS:
+            raise UsageError(f"projection must be one of {_KINDS}, got {self.projection!r}")
         if self.center_kind not in _CENTER_KINDS:
             raise UsageError(f"center_kind must be one of {_CENTER_KINDS}, got {self.center_kind!r}")
         if self.seed < 0:

@@ -111,6 +111,8 @@ def test_hdbwdm_non_finite_trailing_column_is_a_data_error(tmp_path, capsys, val
      "cannot parse dataset file {path}: label '1.5' is not a whole number that fits int64"),
     ("x0,label\n1.0,0\n2.0,1\n3.0,1e20\n4.0,0\n5.0,1\n",
      "cannot parse dataset file {path}: label '1e20' is not a whole number that fits int64"),
+    ("x0,label\n1.0,2.0,0\n3.0,4.0,1\n",
+     "dataset file {path} has a header of 2 cells, but its rows have 3"),
 ])
 def test_csv_data_errors_exit_2_with_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "data.csv"
@@ -133,6 +135,21 @@ def test_label_refusals_exit_2_with_one_line(tmp_path, capsys, labels, argv, mes
     assert main(argv + [str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "data error: " + message.format(path=path) + "\n"
     assert not out.exists()
+
+
+_ROWS = "1.0,2.0,0\n1.5,2.5,0\n1.0,2.5,0\n9.0,8.0,1\n9.5,8.5,1\n9.0,8.5,1\n"
+
+
+@pytest.mark.parametrize("argv", [["bwdm"], ["hdbwdm", "--k", "2", "--p", "1"]])
+def test_a_byte_order_mark_leaves_every_row_and_the_labels(tmp_path, argv):
+    # the mark is not part of the first cell, so a headerless file stays headerless
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(_ROWS)
+    marked.write_bytes(b"\xef\xbb\xbf" + _ROWS.encode("utf-8"))
+    for path in (plain, marked):
+        assert main(argv + [str(path), "--out", str(tmp_path / path.stem)]) == 0
+    report = (tmp_path / "marked" / "report.csv").read_bytes()
+    assert report == (tmp_path / "plain" / "report.csv").read_bytes()
 
 
 def test_hdbwdm_reads_a_trailing_column_beyond_int64_as_data(tmp_path, capsys):

@@ -556,18 +556,3 @@ def test_cluster_centers_refuses_an_unknown_kind_as_a_usage_error():
     part = Partition(labels=np.array([0, 0, 1]), alpha=0.0)
     with pytest.raises(UsageError, match="kind must be 'medoid' or 'spatial-median', got 'mean'"):
         cluster_centers(np.zeros((3, 1)), part, kind="mean")
-
-
-def test_cluster_centers_empty_cluster_message():
-    part = Partition(labels=np.array([0, 0, 1]), alpha=0.0)
-    bad = Partition(labels=np.array([0, 0, TRIMMED]), alpha=0.0)
-    X = np.zeros((3, 1))
-    cluster_centers(X, part)  # fine
-    part2 = Partition(labels=np.array([0, TRIMMED, 0]), alpha=0.0)
-    cluster_centers(X, part2)  # fine: cluster 0 retains two rows
-    with pytest.raises(ValueError, match="cluster 1"):
-        broken = Partition.__new__(Partition)
-        object.__setattr__(broken, "labels", np.array([0, 0, TRIMMED]))
-        object.__setattr__(broken, "K", 2)
-        object.__setattr__(broken, "alpha", 0.0)
-        cluster_centers(X, broken)

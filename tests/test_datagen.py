@@ -212,12 +212,13 @@ def test_dataset_csv_label_sniffing_rules(tmp_path):
     X, y = read_dataset_csv(path)
     assert X.shape == (2, 2) and y.tolist() == [0, 1]
 
-    # a trailing integer-valued column reads as labels unless forced off
+    # a trailing integer-valued column reads as labels unless a header names it data
     path = tmp_path / "ints.csv"
     path.write_text("1.5,2.0\n3.5,4.0\n")
     X, y = read_dataset_csv(path)
     assert X.shape == (2, 1) and y.tolist() == [2, 4]
-    X, y = read_dataset_csv(path, labels=False)
+    path.write_text("x0,x1\n1.5,2.0\n3.5,4.0\n")
+    X, y = read_dataset_csv(path)
     assert X.shape == (2, 2) and y is None
 
     path = tmp_path / "frac.csv"
@@ -254,10 +255,10 @@ def test_dataset_csv_whole_values_beyond_int64_are_data(tmp_path, value):
     X, y = read_dataset_csv(path)
     assert X.shape == (2, 1) and y.tolist() == [-(2**63), 9_200_000_000_000_000_000]
 
-    # forced or named labels still refuse the value
-    path.write_text(f"1.0,2\n3.0,{value}\n")
+    # labels sniffed from an OUT cell, or named by the header, still refuse the value
+    path.write_text(f"1.0,OUT\n3.0,{value}\n")
     with pytest.raises(DataError, match="cannot parse"):
-        read_dataset_csv(path, labels=True)
+        read_dataset_csv(path)
     path.write_text(f"x0,label\n1.0,2\n3.0,{value}\n")
     with pytest.raises(DataError, match="cannot parse"):
         read_dataset_csv(path)
@@ -275,6 +276,8 @@ def test_dataset_csv_cells_parse_bitwise_as_float(tmp_path, header):
     rows = [_TOKENS, _TOKENS[::-1], _TOKENS[3:] + _TOKENS[:3]]
     labels = [" 0", " OUT", "\t1"]
     lines = [",".join(r + [lab]) for r, lab in zip(rows, labels)]
+    if header:  # name the leading columns too: a header is as wide as the rows
+        header = "".join(f"x{j}," for j in range(len(_TOKENS) - 2)) + header
     path = tmp_path / "tokens.csv"
     path.write_bytes((header + "\r\n".join(lines) + "\r\n").encode("utf-8"))
     X, y = read_dataset_csv(path)
@@ -287,10 +290,19 @@ def test_dataset_csv_cells_parse_bitwise_as_float(tmp_path, header):
     assert X.tobytes() == np.array([[float(t) for t in r] for r in rows]).tobytes()
 
 
+def test_dataset_csv_ignores_a_byte_order_mark(tmp_path):
+    # the mark is not part of the first cell, so a headerless file stays headerless
+    path = tmp_path / "marked.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,0\n7.0,8.0,1\n")
+    X, y = read_dataset_csv(path)
+    assert X.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]
+    assert y.tolist() == [0, 1, 0, 1]
+
+
 def test_dataset_csv_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "noisy.csv"
-    path.write_text("# comment\n\n1.0,2.0\n\n3.0,4.0\n")
-    X, y = read_dataset_csv(path, labels=False)
+    path.write_text("# comment\n\nx0,x1\n\n1.0,2.0\n\n3.0,4.0\n")
+    X, y = read_dataset_csv(path)
     assert np.array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
     assert y is None
 
@@ -301,10 +313,15 @@ def test_dataset_csv_errors(tmp_path):
     with pytest.raises(DataError, match="ragged"):
         read_dataset_csv(ragged)
 
+    wide = tmp_path / "wide.csv"
+    wide.write_text("x0,x1,x2,label\n1.0,2.0,0\n3.0,4.0,1\n")
+    with pytest.raises(DataError, match="has a header of 4 cells, but its rows have 3$"):
+        read_dataset_csv(wide)
+
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,nan\n2.0,3.0\n")
     with pytest.raises(DataError, match="non-finite"):
-        read_dataset_csv(bad, labels=False)
+        read_dataset_csv(bad)
 
     empty = tmp_path / "empty.csv"
     empty.write_text("# nothing here\n")
@@ -312,11 +329,11 @@ def test_dataset_csv_errors(tmp_path):
         read_dataset_csv(empty)
 
     only_labels = tmp_path / "only.csv"
-    only_labels.write_text("0\n1\n")
+    only_labels.write_text("label\n0\n1\n")
     with pytest.raises(DataError, match="no feature columns"):
-        read_dataset_csv(only_labels, labels=True)
+        read_dataset_csv(only_labels)
 
     garbled = tmp_path / "garbled.csv"
-    garbled.write_text("1.0,x\n2.0,0\n")
+    garbled.write_text("x0,label\n1.0,x\n2.0,0\n")
     with pytest.raises(DataError, match="cannot parse"):
-        read_dataset_csv(garbled, labels=True)
+        read_dataset_csv(garbled)

@@ -25,7 +25,6 @@ from hdbwdm import (
     true_partition,
 )
 from hdbwdm.harness import (
-    _METHOD_CODES,
     _TAG_DATASET,
     _TAG_REPLICATION,
     _embedding,
@@ -36,6 +35,8 @@ from hdbwdm.harness import (
     run_select_k,
     run_sweep,
 )
+
+_METHOD_CODES = {"rp": 0, "pca": 1}  # a method's code in a replication's seed path
 
 
 def _cell(*values):

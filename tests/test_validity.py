@@ -147,25 +147,6 @@ def test_bwdm_report_ratio_consistency():
     assert rep.bwdm == pytest.approx(rep.abdm / rep.awdm, rel=1e-12)
 
 
-def test_index_report_round_trip():
-    rep = IndexReport(
-        abdm=4.0, awdm=2.0, K=3, p=None, alpha=0.1,
-        projection="none", center_kind="medoid", seed=11, n_used=42,
-    )
-    back = IndexReport.from_dict(rep.to_dict())
-    assert back == rep
-    assert rep.to_dict()["p"] == "FULL"
-
-
-def test_index_report_round_trip_infinite():
-    rep = IndexReport(
-        abdm=4.0, awdm=0.0, K=2, p=5, alpha=0.0,
-        projection="rp", center_kind="medoid", seed=0, n_used=8,
-    )
-    back = IndexReport.from_dict(rep.to_dict())
-    assert math.isinf(back.bwdm) and back.degenerate
-
-
 def test_bwdm_matches_direct_oracle():
     rng = np.random.default_rng(2)
     for _ in range(25):
