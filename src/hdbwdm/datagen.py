@@ -29,6 +29,9 @@ __all__ = [
 
 OUTLIER = -1  # label sentinel for contamination rows ("OUT" in CSV)
 
+_BLOCK_CELLS = 1 << 14  # cells per block of the dataset CSV reader and writer
+_SEPARATORS = "\x1c\x1d\x1e\x1f"  # spaces to np.loadtxt and str.strip, not to float()
+
 
 @dataclass(frozen=True)
 class MixtureConfig:
@@ -148,23 +151,31 @@ def write_dataset_csv(X, labels, path, header: bool = True) -> None:
     """Write rows as CSV with an optional trailing label column.
 
     Labels may be None (no label column); outlier rows are written as
-    ``OUT``.
+    ``OUT``.  Rows are formatted and written a block of cells at a time,
+    so beside ``X`` the writer holds one block's numbers and text.
     """
     X = np.asarray(X, dtype=float)
-    lines = []
-    if header:
-        cols = [f"x{j}" for j in range(X.shape[1])]
-        if labels is not None:
-            cols.append("label")
-        lines.append(",".join(cols))
-    for i, row in enumerate(X):
-        cells = [repr(float(v)) for v in row]
-        if labels is not None:
-            lab = int(labels[i])
-            cells.append("OUT" if lab == OUTLIER else str(lab))
-        lines.append(",".join(cells))
+    n, d = X.shape
+    step = max(1, _BLOCK_CELLS // max(d, 1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if header:
+            cols = [f"x{j}" for j in range(d)]
+            if labels is not None:
+                cols.append("label")
+            fh.write(",".join(cols) + "\n")
+        elif not n:
+            fh.write("\n")  # no header and no rows: one empty line
+        for start in range(0, n, step):
+            rows = X[start:start + step].tolist()
+            if labels is None:
+                lines = [",".join(map(repr, row)) for row in rows]
+            else:
+                lines = [
+                    ",".join([*map(repr, row), "OUT" if int(lab) == OUTLIER else str(int(lab))])
+                    for row, lab in zip(rows, labels[start:start + step], strict=True)
+                ]
+            fh.write("\n".join(lines))
+            fh.write("\n")
 
 
 def _is_float(tok: str) -> bool:
@@ -175,24 +186,73 @@ def _is_float(tok: str) -> bool:
     return True
 
 
-def _fits_label(tok: str) -> bool:
-    """Whether ``tok`` is a whole number that fits the int64 label dtype."""
-    try:
-        value = float(tok)
-    except ValueError:
-        return False
-    return value.is_integer() and -(2.0**63) <= value < 2.0**63
+def _float_matrix(rows: list[list[str]]):
+    """``float()`` of every cell, parsed in one call; a cell may carry spaces.
 
-
-def _float_matrix(rows: list[list[str]]) -> np.ndarray:
-    """``float()`` of every cell, parsed in one call; a cell may carry spaces."""
+    Returns ``(matrix, None)``, or ``(None, (rank, message))`` for a bad
+    cell: rank 0 with ``float()``'s message for the first cell that does
+    not parse once stripped, else rank 1 with numpy's message for the
+    first that does not parse as it stands (a cell edged by U+001C..U+001F,
+    which ``str.strip`` removes and ``float`` refuses).
+    """
     try:
-        return np.array(rows, dtype=float)
-    except ValueError:
-        for row in rows:  # raise float()'s error for the first bad cell, named without spaces
+        return np.array(rows, dtype=float), None
+    except ValueError as exc:
+        for row in rows:
             for cell in row:
-                float(cell.strip())
-        raise
+                try:
+                    float(cell.strip())
+                except ValueError as bad:
+                    return None, (0, str(bad))
+        return None, (1, str(exc))
+
+
+def _label_error(tok: str) -> str:
+    """Why ``tok`` is not ``OUT`` or a whole number that fits the int64 label dtype."""
+    try:
+        int(float(tok))  # text, inf and nan: float()'s or int()'s own message
+    except (ValueError, OverflowError) as exc:
+        return str(exc)
+    return f"label {tok!r} is not a whole number that fits int64"
+
+
+def _parse_block(lines: list[str], width: int):
+    """Parse stripped rows of ``width`` cells each.
+
+    Returns the leading ``width - 1`` columns as floats (None if a cell in
+    them does not parse), the trailing column as floats (nan where a cell
+    is ``OUT`` or text), its ``OUT`` mask, and the block's first defect of
+    each kind as ``(rank, message)``: ``lead`` and ``all`` for a bad cell
+    without and with the trailing column (as ``_float_matrix`` ranks
+    them), ``label`` for a trailing cell that is neither ``OUT`` nor a
+    whole number that fits int64.  numpy's parser reads the block unless
+    it refuses it; then every cell is parsed with ``float()``.
+    """
+    tails = [line[line.rfind(",") + 1:].strip() for line in lines]
+    out = np.array([t.upper() == "OUT" for t in tails], dtype=bool)
+    defects = {}
+    try:
+        text = "".join(lines)
+        if any(sep in text for sep in _SEPARATORS):
+            raise ValueError("np.loadtxt takes U+001C..U+001F for spaces")
+        lead = np.empty((len(lines), 0))
+        if width > 1:
+            lead = np.loadtxt(
+                lines, delimiter=",", usecols=range(width - 1), comments=None, ndmin=2
+            )
+        last = np.array(["nan" if o else t for t, o in zip(tails, out)], dtype=float)
+        if out.any():  # the first bad cell, if the trailing column is data
+            _, defects["all"] = _float_matrix([[tails[int(np.argmax(out))]]])
+    except ValueError:
+        rows = [line.split(",") for line in lines]
+        lead, defects["lead"] = _float_matrix([row[:-1] for row in rows])
+        _, defects["all"] = _float_matrix(rows)
+        last = np.array([float(t) if _is_float(t) else math.nan for t in tails])
+    whole = (last == np.trunc(last)) & (last >= -(2.0**63)) & (last < 2.0**63)
+    bad = ~(out | whole)
+    if bad.any():
+        defects["label"] = (0, _label_error(tails[int(np.argmax(bad))]))
+    return lead, last, out, {kind: d for kind, d in defects.items() if d is not None}
 
 
 def read_dataset_csv(path):
@@ -206,29 +266,49 @@ def read_dataset_csv(path):
     when every value in it is a whole number that fits int64.  Every
     label cell must be ``OUT`` or such a whole number; any other is a
     :class:`DataError`.
+
+    Every cell reads as ``float()`` reads it.  The rows are parsed a block
+    of cells at a time and the blocks joined at the end, so the reader
+    holds about two matrices and one block's text; which defect it
+    reports is decided over the whole file, wherever the blocks fall.
     """
-    rows = []
     header_cells = None
+    width = None
+    blocks = []  # (leading columns, trailing column, its OUT mask) per block
+    first = {}  # the file's first defect of each kind, a rank-0 one before any rank 1
+
+    def parse(lines):
+        lead, last, out, defects = _parse_block(lines, width)
+        blocks.append((lead, last, out))
+        for kind, defect in defects.items():
+            if kind not in first or defect[0] < first[kind][0]:
+                first[kind] = defect
+
     with open(path, encoding="utf-8-sig") as fh:
+        lines = []
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            cells = line.split(",")
-            if header_cells is None and rows == [] and not _is_float(cells[0]):
-                header_cells = [c.strip() for c in cells]
-                continue
-            rows.append(cells)
-    if not rows:
+            if width is None:
+                cells = line.split(",")
+                if header_cells is None and not _is_float(cells[0]):
+                    header_cells = [c.strip() for c in cells]
+                    continue
+                width = len(cells)
+                step = max(1, _BLOCK_CELLS // width)
+            if line.count(",") != width - 1:
+                raise DataError(f"dataset file {path} has ragged rows")
+            lines.append(line)
+            if len(lines) == step:
+                parse(lines)
+                lines = []
+        if lines:
+            parse(lines)
+    if width is None:
         raise DataError(f"dataset file {path} has no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DataError(f"dataset file {path} has ragged rows")
-    last = [r[-1].strip() for r in rows]
     if header_cells is None:
-        labels = any(v.upper() == "OUT" for v in last) or (
-            width > 1 and all(_fits_label(v) for v in last)
-        )
+        labels = any(out.any() for _, _, out in blocks) or (width > 1 and "label" not in first)
     elif len(header_cells) != width:
         raise DataError(
             f"dataset file {path} has a header of {len(header_cells)} cells, "
@@ -238,20 +318,23 @@ def read_dataset_csv(path):
         labels = header_cells[-1].lower() == "label"
     if labels and width < 2:
         raise DataError(f"dataset file {path} has no feature columns beside the label")
-    if labels:
-        for r in rows:
-            r.pop()
-    try:
-        X = _float_matrix(rows)
-        y = None
+    defect = first.get("lead" if labels else "all")
+    if defect is None and labels:
+        defect = first.get("label")
+    if defect:
+        raise DataError(f"cannot parse dataset file {path}: {defect[1]}")
+    n = sum(len(last) for _, last, _ in blocks)
+    X = np.empty((n, width - 1 if labels else width))
+    y = np.empty(n, dtype=int) if labels else None
+    row = 0
+    for lead, last, out in blocks:
+        stop = row + len(last)
+        X[row:stop, :width - 1] = lead
         if labels:
-            for v in last:
-                if v.upper() != "OUT" and not _fits_label(v):
-                    int(float(v))  # text, inf and nan: float()'s or int()'s own message
-                    raise ValueError(f"label {v!r} is not a whole number that fits int64")
-            y = np.array([OUTLIER if v.upper() == "OUT" else int(float(v)) for v in last], dtype=int)
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"cannot parse dataset file {path}: {exc}") from exc
+            y[row:stop] = np.where(out, OUTLIER, last)
+        else:
+            X[row:stop, -1] = last
+        row = stop
     if not np.isfinite(X).all():
         raise DataError(f"dataset file {path} contains non-finite values")
     return X, y

@@ -69,11 +69,14 @@ def _write_csv(path, header, rows, meta=None) -> None:
 
 
 def _read_csv(path):
-    """Read a ``_write_csv`` file back as ({comment key: value}, [{header cell: cell}])."""
+    """Read a ``_write_csv`` file back as ({comment key: value}, [{header cell: cell}]).
+
+    A leading UTF-8 byte-order mark is skipped, as ``_read_json`` skips it.
+    """
     meta = {}
     header = None
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:
@@ -103,7 +106,7 @@ def _write_json(path, obj) -> None:
 
 
 def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return json.load(fh)
 
 
@@ -210,7 +213,7 @@ def write_diagnostic(report: DiagnosticReport, out_dir, fmt: str = "csv") -> Non
 def read_diagnostic(out_dir, fmt: str = "csv") -> DiagnosticReport:
     if fmt == "json":
         info = _read_json(os.path.join(out_dir, "diagnostic.json"))
-        entries = {k: _report_from(v) for k, v in info["entries"].items()}
+        entries = {k: _report_from(info["entries"][k]) for k in _DIAG_ORDER}
     else:
         info, rows = _read_csv(os.path.join(out_dir, "diagnostic.csv"))
         entries = {row["partition"]: _report_from(row) for row in rows}

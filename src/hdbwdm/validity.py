@@ -91,8 +91,10 @@ def awdm(X, part: Partition, centers) -> float:
     if retained <= part.K:
         raise ValueError(f"awdm needs retained_count > K, got {retained} <= {part.K}")
     mask = ~part.trimmed_mask
-    diffs = X[mask] - np.asarray(centers, dtype=float)[part.labels[mask]]
-    total = float(np.sqrt((diffs**2).sum(axis=1)).sum())
+    diffs = X[mask]  # a copy, squared in place: beside X it holds two n x p arrays
+    diffs -= np.asarray(centers, dtype=float)[part.labels[mask]]
+    diffs **= 2
+    total = float(np.sqrt(diffs.sum(axis=1)).sum())
     return total / (retained - part.K)
 
 

@@ -337,3 +337,109 @@ def test_dataset_csv_errors(tmp_path):
     garbled.write_text("x0,label\n1.0,x\n2.0,0\n")
     with pytest.raises(DataError, match="cannot parse"):
         read_dataset_csv(garbled)
+
+
+# Files long enough to span several of the reader's parse blocks, so that two
+# defects placed far apart land in different blocks.
+_LONG_ROWS = 40_000
+
+
+def _long_file(path, header=None, width=4, edits=None):
+    """A ``_LONG_ROWS``-row file of ``width``-cell rows, the last cell a label; ``edits`` maps
+    a row index to the text that replaces that row."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(_LONG_ROWS, width - 1))
+    labels = rng.integers(0, 3, size=_LONG_ROWS)
+    lines = [",".join([*map(repr, row), str(lab)]) for row, lab in zip(X.tolist(), labels.tolist())]
+    for i, text in (edits or {}).items():
+        lines[i] = text
+    if header is not None:
+        lines.insert(0, header)
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return X, labels
+
+
+def test_a_ragged_row_late_outranks_a_bad_cell_early(tmp_path):
+    path = tmp_path / "long.csv"
+    _long_file(path, "x0,x1,x2,label", edits={10: "x,1.0,2.0,0", _LONG_ROWS - 5: "1.0,2.0,0"})
+    with pytest.raises(DataError, match="has ragged rows$"):
+        read_dataset_csv(path)
+
+
+def test_a_bad_feature_cell_late_outranks_a_bad_label_early(tmp_path):
+    path = tmp_path / "long.csv"
+    _long_file(path, "x0,x1,x2,label", edits={10: "1.0,2.0,3.0,y", _LONG_ROWS - 5: "1.0,z,3.0,0"})
+    with pytest.raises(DataError, match="could not convert string to float: 'z'$"):
+        read_dataset_csv(path)
+    # alone, the early label is the one reported
+    _long_file(path, "x0,x1,x2,label", edits={10: "1.0,2.0,3.0,y"})
+    with pytest.raises(DataError, match="could not convert string to float: 'y'$"):
+        read_dataset_csv(path)
+
+
+def test_a_ragged_row_late_outranks_a_header_of_another_width(tmp_path):
+    path = tmp_path / "long.csv"
+    _long_file(path, "x0,label", edits={_LONG_ROWS - 5: "1.0,2.0,3.0,4.0,0"})
+    with pytest.raises(DataError, match="has ragged rows$"):
+        read_dataset_csv(path)
+
+
+def test_headerless_labels_are_sniffed_from_the_whole_file(tmp_path):
+    path = tmp_path / "long.csv"
+    X, labels = _long_file(path, edits={_LONG_ROWS - 5: "1.0,2.0,3.0,OUT"})
+    back, y = read_dataset_csv(path)  # one OUT cell in the last rows makes the column labels
+    assert back[:10].tobytes() == X[:10].tobytes() and back.shape == X.shape
+    assert y[-5] == OUTLIER and np.array_equal(np.delete(y, -5), np.delete(labels, -5))
+
+    # with it, a fractional trailing value in the first rows is a bad label
+    _long_file(path, edits={10: "1.0,2.0,3.0,1.5", _LONG_ROWS - 5: "1.0,2.0,3.0,OUT"})
+    with pytest.raises(DataError, match="label '1.5' is not a whole number that fits int64$"):
+        read_dataset_csv(path)
+    # without it, the same value makes the column data
+    _long_file(path, edits={10: "1.0,2.0,3.0,1.5"})
+    back, y = read_dataset_csv(path)
+    assert y is None and back.shape == (_LONG_ROWS, 4) and back[10, 3] == 1.5
+
+
+def test_cells_in_a_late_block_parse_bitwise_as_float(tmp_path):
+    path = tmp_path / "long.csv"
+    late = _LONG_ROWS - 3
+    header = ",".join([*(f"x{j}" for j in range(len(_TOKENS))), "label"])
+    _long_file(path, header, width=len(_TOKENS) + 1, edits={late: ",".join(_TOKENS + [" OUT"])})
+    X, y = read_dataset_csv(path)
+    assert X[late].tobytes() == np.array([float(t) for t in _TOKENS]).tobytes()
+    assert y[late] == OUTLIER
+
+
+def test_an_information_separator_in_a_late_block_is_not_space(tmp_path):
+    # str.strip() removes U+001C..U+001F but float() does not: such a cell is refused
+    path = tmp_path / "long.csv"
+    _long_file(path, "x0,x1,x2,label", edits={_LONG_ROWS - 5: "1.0,2.5\x1c,3.0,0"})
+    with pytest.raises(DataError, match=r"could not convert string to float: '2.5\\x1c'$"):
+        read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("side, bound", [("write", 1.0), ("read", 3.0)])
+def test_dataset_csv_io_holds_about_one_matrix(tmp_path, side, bound):
+    # each side works through the file a block of cells at a time, so beside the matrix
+    # it holds one block's text and numbers; the reader also joins its blocks at the end
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(4000, 100))
+    labels = rng.integers(OUTLIER, 3, size=4000)
+    path = tmp_path / "big.csv"
+    if side == "read":
+        write_dataset_csv(X, labels, path)
+    tracemalloc.start()
+    try:
+        if side == "write":
+            write_dataset_csv(X, labels, path)
+        else:
+            back, y = read_dataset_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * X.nbytes, peak / X.nbytes
+    if side == "read":
+        assert back.tobytes() == X.tobytes() and np.array_equal(y, labels)

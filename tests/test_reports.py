@@ -549,3 +549,21 @@ def test_readers_recompute_the_derived_columns(tmp_path):
     (tmp_path / "sweep_reps.csv").write_text(_SWEEP_REPS_CSV)
     cells, _ = read_sweep(tmp_path)
     assert (cells[0].reps, cells[0].mean_bwdm, cells[0].sd_bwdm) == (2, 1.5, math.sqrt(0.125))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_readers_skip_a_byte_order_mark(tmp_path, fmt):
+    report = _one_report()
+    path = tmp_path / f"report.{fmt}"
+    write_index_report(report, path, fmt)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_index_report(path, fmt) == report
+
+
+def test_diagnostic_entries_keep_their_order_in_both_formats(tmp_path):
+    report = run_diagnostic(_mixture(), p=8, alpha=0.1, seed=5)
+    orders = [list(report.entries)]
+    for fmt in ("csv", "json"):
+        write_diagnostic(report, tmp_path / fmt, fmt)
+        orders.append(list(read_diagnostic(tmp_path / fmt, fmt).entries))
+    assert orders == [["true", "kmeans", "trimmed-kmeans"]] * 3
