@@ -16,11 +16,8 @@ import sys
 import warnings
 from typing import NoReturn
 
-import numpy as np
-
-from .clustering import Partition, TRIMMED
+from .clustering import Partition
 from .datagen import (
-    OUTLIER,
     MixtureConfig,
     generate,
     read_dataset_csv,
@@ -67,6 +64,17 @@ def _add_mixture(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--outlier-hi", type=float, default=MixtureConfig.outlier_range[1])
 
 
+def _add_pipeline(parser: argparse.ArgumentParser, p_default: int | None = None) -> None:
+    """The flags ``hdbwdm`` and ``selectk`` share; ``--p`` is required without a default."""
+    parser.add_argument("--p", type=int, required=p_default is None, default=p_default)
+    parser.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
+    parser.add_argument("--method", choices=_KINDS, default=PipelineConfig.projection)
+    center = {kind: flag for flag, kind in _CENTER_NAMES.items()}[PipelineConfig.center_kind]
+    parser.add_argument("--center", choices=sorted(_CENTER_NAMES), default=center)
+    parser.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    parser.add_argument("--no-scale", action="store_true", help="skip median/MAD scaling")
+
+
 def _mixture_from(args) -> MixtureConfig:
     return MixtureConfig(
         n_inliers=args.n_inliers,
@@ -105,8 +113,8 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _partition_from_labels(y: np.ndarray) -> Partition:
-    part = Partition(labels=np.where(y == OUTLIER, TRIMMED, y), alpha=0.0)
+def _partition_from_labels(y) -> Partition:
+    part = Partition(labels=y, alpha=0.0)
     if part.K < 2:
         raise DataError(f"need at least 2 cluster labels, found {part.K}")
     return part
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="draw a benchmark mixture dataset")
     _add_mixture(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=MixtureConfig.seed)
     p.add_argument("--no-header", action="store_true", help="omit the CSV header row")
     _add_common(p)
     p.set_defaults(func=_cmd_generate)
@@ -231,12 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hdbwdm", help="scale, project, cluster and score a CSV")
     p.add_argument("input", help="dataset CSV (label column ignored if present)")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
-    p.add_argument("--method", choices=_KINDS, default=PipelineConfig.projection)
-    p.add_argument("--center", choices=sorted(_CENTER_NAMES), default="medoid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-scale", action="store_true", help="skip median/MAD scaling")
+    _add_pipeline(p)
     _add_common(p)
     p.set_defaults(func=_cmd_hdbwdm)
 
@@ -244,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mixture(p)
     p.add_argument("--p", type=int, default=150)
     p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=MixtureConfig.seed)
     _add_common(p)
     p.set_defaults(func=_cmd_diagnostic)
 
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=methods, help=f"comma-separated subset of {methods}")
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=MixtureConfig.seed)
     p.add_argument("--fresh-data", action="store_true", help="regenerate data per replication")
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)
@@ -266,12 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mixture(p)
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--p", type=int, default=150)
-    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
-    p.add_argument("--method", choices=_KINDS, default=PipelineConfig.projection)
-    p.add_argument("--center", choices=sorted(_CENTER_NAMES), default="medoid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-scale", action="store_true")
+    _add_pipeline(p, p_default=150)
     p.add_argument("--score-true", action="store_true", help="also score the true labels")
     _add_common(p)
     p.set_defaults(func=_cmd_selectk)

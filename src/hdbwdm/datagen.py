@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Partition
+from .clustering import TRIMMED, Partition
 from .errors import DataError, UsageError
 
 __all__ = [
-    "OUTLIER",
     "MixtureConfig",
     "LabeledDataset",
     "generate",
@@ -27,10 +26,7 @@ __all__ = [
     "read_dataset_csv",
 ]
 
-OUTLIER = -1  # label sentinel for contamination rows ("OUT" in CSV)
-
 _BLOCK_CELLS = 1 << 14  # cells per block of the dataset CSV reader and writer
-_SEPARATORS = "\x1c\x1d\x1e\x1f"  # spaces to np.loadtxt and str.strip, not to float()
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class MixtureConfig:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Generated rows with ground-truth labels (cluster id or OUTLIER)."""
+    """Generated rows with ground-truth labels: a cluster id, or TRIMMED for an outlier."""
 
     X: np.ndarray
     labels: np.ndarray
@@ -135,7 +131,7 @@ def generate(cfg: MixtureConfig) -> LabeledDataset:
     if n_out:
         lo, hi = cfg.outlier_range
         blocks.append(rng.uniform(lo, hi, size=(n_out, cfg.d)))
-        labels.append(np.full(n_out, OUTLIER, dtype=int))
+        labels.append(np.full(n_out, TRIMMED, dtype=int))
     X = np.vstack(blocks)
     y = np.concatenate(labels)
     perm = rng.permutation(cfg.n_total)
@@ -171,40 +167,32 @@ def write_dataset_csv(X, labels, path, header: bool = True) -> None:
                 lines = [",".join(map(repr, row)) for row in rows]
             else:
                 lines = [
-                    ",".join([*map(repr, row), "OUT" if int(lab) == OUTLIER else str(int(lab))])
+                    ",".join([*map(repr, row), "OUT" if int(lab) == TRIMMED else str(int(lab))])
                     for row, lab in zip(rows, labels[start:start + step], strict=True)
                 ]
             fh.write("\n".join(lines))
             fh.write("\n")
 
 
-def _is_float(tok: str) -> bool:
+def _is_float(cell: str) -> bool:
+    """The one rule for what text is a number: ``float(cell.strip())`` parses it."""
     try:
-        float(tok)
+        float(cell.strip())
     except ValueError:
         return False
     return True
 
 
 def _float_matrix(rows: list[list[str]]):
-    """``float()`` of every cell, parsed in one call; a cell may carry spaces.
+    """``float(cell.strip())`` of every cell, parsed in one call.
 
-    Returns ``(matrix, None)``, or ``(None, (rank, message))`` for a bad
-    cell: rank 0 with ``float()``'s message for the first cell that does
-    not parse once stripped, else rank 1 with numpy's message for the
-    first that does not parse as it stands (a cell edged by U+001C..U+001F,
-    which ``str.strip`` removes and ``float`` refuses).
+    Returns ``(matrix, None)``, or ``(None, message)`` with ``float()``'s
+    message for the first cell that does not parse.
     """
     try:
-        return np.array(rows, dtype=float), None
+        return np.array([[cell.strip() for cell in row] for row in rows], dtype=float), None
     except ValueError as exc:
-        for row in rows:
-            for cell in row:
-                try:
-                    float(cell.strip())
-                except ValueError as bad:
-                    return None, (0, str(bad))
-        return None, (1, str(exc))
+        return None, str(exc)
 
 
 def _label_error(tok: str) -> str:
@@ -222,19 +210,16 @@ def _parse_block(lines: list[str], width: int):
     Returns the leading ``width - 1`` columns as floats (None if a cell in
     them does not parse), the trailing column as floats (nan where a cell
     is ``OUT`` or text), its ``OUT`` mask, and the block's first defect of
-    each kind as ``(rank, message)``: ``lead`` and ``all`` for a bad cell
-    without and with the trailing column (as ``_float_matrix`` ranks
-    them), ``label`` for a trailing cell that is neither ``OUT`` nor a
-    whole number that fits int64.  numpy's parser reads the block unless
-    it refuses it; then every cell is parsed with ``float()``.
+    each kind as a message: ``lead`` and ``all`` for a bad cell without
+    and with the trailing column, ``label`` for a trailing cell that is
+    neither ``OUT`` nor a whole number that fits int64.  numpy's parser
+    reads the block unless it refuses it; then every cell is parsed with
+    ``float()``.  Both read a cell as ``float(cell.strip())``.
     """
     tails = [line[line.rfind(",") + 1:].strip() for line in lines]
     out = np.array([t.upper() == "OUT" for t in tails], dtype=bool)
     defects = {}
     try:
-        text = "".join(lines)
-        if any(sep in text for sep in _SEPARATORS):
-            raise ValueError("np.loadtxt takes U+001C..U+001F for spaces")
         lead = np.empty((len(lines), 0))
         if width > 1:
             lead = np.loadtxt(
@@ -251,7 +236,7 @@ def _parse_block(lines: list[str], width: int):
     whole = (last == np.trunc(last)) & (last >= -(2.0**63)) & (last < 2.0**63)
     bad = ~(out | whole)
     if bad.any():
-        defects["label"] = (0, _label_error(tails[int(np.argmax(bad))]))
+        defects["label"] = _label_error(tails[int(np.argmax(bad))])
     return lead, last, out, {kind: d for kind, d in defects.items() if d is not None}
 
 
@@ -267,7 +252,7 @@ def read_dataset_csv(path):
     label cell must be ``OUT`` or such a whole number; any other is a
     :class:`DataError`.
 
-    Every cell reads as ``float()`` reads it.  The rows are parsed a block
+    Every cell reads as ``float(cell.strip())``.  The rows are parsed a block
     of cells at a time and the blocks joined at the end, so the reader
     holds about two matrices and one block's text; which defect it
     reports is decided over the whole file, wherever the blocks fall.
@@ -275,14 +260,13 @@ def read_dataset_csv(path):
     header_cells = None
     width = None
     blocks = []  # (leading columns, trailing column, its OUT mask) per block
-    first = {}  # the file's first defect of each kind, a rank-0 one before any rank 1
+    first = {}  # the file's first defect of each kind
 
     def parse(lines):
         lead, last, out, defects = _parse_block(lines, width)
         blocks.append((lead, last, out))
         for kind, defect in defects.items():
-            if kind not in first or defect[0] < first[kind][0]:
-                first[kind] = defect
+            first.setdefault(kind, defect)
 
     with open(path, encoding="utf-8-sig") as fh:
         lines = []
@@ -322,7 +306,7 @@ def read_dataset_csv(path):
     if defect is None and labels:
         defect = first.get("label")
     if defect:
-        raise DataError(f"cannot parse dataset file {path}: {defect[1]}")
+        raise DataError(f"cannot parse dataset file {path}: {defect}")
     n = sum(len(last) for _, last, _ in blocks)
     X = np.empty((n, width - 1 if labels else width))
     y = np.empty(n, dtype=int) if labels else None
@@ -331,7 +315,7 @@ def read_dataset_csv(path):
         stop = row + len(last)
         X[row:stop, :width - 1] = lead
         if labels:
-            y[row:stop] = np.where(out, OUTLIER, last)
+            y[row:stop] = np.where(out, TRIMMED, last)
         else:
             X[row:stop, -1] = last
         row = stop

@@ -160,52 +160,39 @@ def spatial_median(points, tol: float = 1e-8, max_iter: int = 500, full_output: 
     """
     X = _as_points(points)
     m, dim = X.shape
-    if m <= 2:
-        c = np.median(X, axis=0)
-        if full_output:
-            return c, SpatialMedianInfo(True, 0, _distance_sum(X, c))
-        return c
-
-    shift = np.median(X, axis=0)
-    scale = float(np.linalg.norm(X - shift, axis=1).max())
-    if scale == 0.0:  # all points identical
-        if full_output:
-            return shift, SpatialMedianInfo(True, 0, 0.0)
-        return shift
-    Z = (X - shift) / scale
-
-    y = np.zeros(dim)  # the componentwise median of Z
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        d = np.linalg.norm(Z - y, axis=1)
-        far = d > 1e-13  # data rescaled to unit spread, so this is relative
-        if not far.any():
-            converged = True
-            break
-        w = 1.0 / d[far]
-        t = (Z[far] * w[:, None]).sum(axis=0) / w.sum()
-        eta = int((~far).sum())
-        if eta == 0:
-            y_next = t
-        else:
-            r_vec = ((Z[far] - y) * w[:, None]).sum(axis=0)
-            r = float(np.linalg.norm(r_vec))
-            if r <= eta:  # the coincident data point is itself the median
+    shift = np.median(X, axis=0)  # the answer for one or two points, or identical ones
+    c, converged, n_iter = shift, True, 0
+    scale = float(np.linalg.norm(X - shift, axis=1).max()) if m > 2 else 0.0
+    if scale > 0.0:
+        Z = (X - shift) / scale
+        y = np.zeros(dim)  # the componentwise median of Z
+        converged = False
+        for n_iter in range(1, max_iter + 1):
+            d = np.linalg.norm(Z - y, axis=1)
+            far = d > 1e-13  # data rescaled to unit spread, so this is relative
+            if not far.any():
                 converged = True
                 break
-            gamma = eta / r
-            y_next = (1.0 - gamma) * t + gamma * y
-        step = float(np.linalg.norm(y_next - y))
-        y = y_next
-        if step < tol:
-            converged = True
-            break
-
-    c = shift + scale * y
-    if full_output:
-        return c, SpatialMedianInfo(converged, n_iter, _distance_sum(X, c))
-    return c
+            w = 1.0 / d[far]
+            t = (Z[far] * w[:, None]).sum(axis=0) / w.sum()
+            eta = int((~far).sum())
+            if eta == 0:
+                y_next = t
+            else:
+                r_vec = ((Z[far] - y) * w[:, None]).sum(axis=0)
+                r = float(np.linalg.norm(r_vec))
+                if r <= eta:  # the coincident data point is itself the median
+                    converged = True
+                    break
+                gamma = eta / r
+                y_next = (1.0 - gamma) * t + gamma * y
+            step = float(np.linalg.norm(y_next - y))
+            y = y_next
+            if step < tol:
+                converged = True
+                break
+        c = shift + scale * y
+    return (c, SpatialMedianInfo(converged, n_iter, _distance_sum(X, c))) if full_output else c
 
 
 def medoid(points) -> tuple[int, np.ndarray]:

@@ -14,7 +14,8 @@ import math
 import os
 from dataclasses import asdict, fields
 
-from .datagen import OUTLIER, LabeledDataset, MixtureConfig
+from .clustering import TRIMMED
+from .datagen import LabeledDataset, MixtureConfig
 from .errors import DataError
 from .harness import DiagnosticReport, RepResult, SweepCell
 from .validity import IndexReport, SelectKResult
@@ -167,7 +168,7 @@ def write_dataset_json(ds: LabeledDataset, path) -> None:
     _write_json(path, {
         "config": _config_dict(ds.config),
         "X": ds.X.tolist(),
-        "labels": ["OUT" if v == OUTLIER else int(v) for v in ds.labels],
+        "labels": ["OUT" if v == TRIMMED else int(v) for v in ds.labels],
     })
 
 

@@ -408,6 +408,22 @@ def test_selectk_scores_true_labels_from_a_csv(tmp_path):
     assert obj["true_report"]["n_used"] == 40
 
 
+def test_selectk_scores_the_true_labels_of_a_generated_mixture(tmp_path, capsys):
+    # outliers are TRIMMED in the generated labels and in the CSV's read back alike
+    mixture = ["--n-inliers", "40", "--d", "20", "--k-true", "3", "--spacing", "40.0",
+               "--outlier-fraction", "0.1", "--seed", "6"]
+    scan = ["--k-min", "2", "--k-max", "3", "--p", "8", "--score-true", "--format", "json"]
+    gen, csv = tmp_path / "gen", tmp_path / "csv"
+    assert main(["selectk", *mixture, *scan, "--out", str(gen)]) == 0
+    assert "true labels: bwdm=" in capsys.readouterr().out
+    assert main(["generate", *mixture, "--out", str(tmp_path)]) == 0
+    data = str(tmp_path / "dataset.csv")
+    assert main(["selectk", "--input", data, "--seed", "6", *scan, "--out", str(csv)]) == 0
+    obj = json.loads((gen / "selectk.json").read_text())
+    assert obj["true_report"]["n_used"] == 40 and obj["true_report"]["k"] == 3
+    assert (gen / "selectk.json").read_bytes() == (csv / "selectk.json").read_bytes()
+
+
 def test_selectk_error_exits(tmp_path):
     assert main(["selectk", "--k-min", "5", "--k-max", "3", "--out", str(tmp_path)]) == 1
     assert main([

@@ -56,6 +56,23 @@ def test_partition_rejects_empty_cluster():
         Partition(labels=np.array([TRIMMED, TRIMMED]), alpha=0.0)
 
 
+@pytest.mark.parametrize("labels, alpha, message", [
+    (np.zeros((2, 2), int), 0.0, "labels must be a non-empty 1-D array"),
+    (np.array([], int), 0.0, "labels must be a non-empty 1-D array"),
+    (np.array([0, 1]), 0.5, r"alpha must lie in \[0, 0\.5\), got 0\.5"),
+    (np.array([0, 1]), -0.1, r"alpha must lie in \[0, 0\.5\), got -0\.1"),
+])
+def test_partition_refuses_bad_labels_and_alpha(labels, alpha, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Partition(labels=labels, alpha=alpha)
+
+
+def test_cluster_centers_refuses_a_row_count_mismatch():
+    part = Partition(labels=np.array([0, 1]), alpha=0.0)
+    with pytest.raises(ValueError, match="^X has 3 rows but the partition labels 2$"):
+        cluster_centers(np.zeros((3, 2)), part, kind="medoid")
+
+
 @pytest.mark.parametrize("n, K, alpha, n_init, message", [
     (6, 1, 0.0, 10, "K must be >= 2, got 1"),
     (6, 2, 0.5, 10, r"alpha must lie in \[0, 0\.5\), got 0\.5"),

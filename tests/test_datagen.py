@@ -8,7 +8,6 @@ import pytest
 from hdbwdm import (
     DataError,
     MixtureConfig,
-    OUTLIER,
     TRIMMED,
     UsageError,
     generate,
@@ -16,13 +15,14 @@ from hdbwdm import (
     true_partition,
     write_dataset_csv,
 )
-from hdbwdm.datagen import _cluster_means
+import hdbwdm.datagen as datagen
+from hdbwdm.datagen import _cluster_means, _float_matrix
 
 
 def test_benchmark_shape_and_counts():
     ds = generate(MixtureConfig())
     assert ds.X.shape == (550, 500)
-    assert int((ds.labels == OUTLIER).sum()) == 50
+    assert int((ds.labels == TRIMMED).sum()) == 50
     for k in range(5):
         assert int((ds.labels == k).sum()) == 100
 
@@ -31,7 +31,7 @@ def test_clean_case_has_no_outlier_rows():
     cfg = MixtureConfig(n_inliers=60, d=4, K_true=3, outlier_fraction=0.0, seed=2)
     ds = generate(cfg)
     assert ds.X.shape == (60, 4)
-    assert not (ds.labels == OUTLIER).any()
+    assert not (ds.labels == TRIMMED).any()
     assert np.bincount(ds.labels).tolist() == [20, 20, 20]
 
 
@@ -89,7 +89,7 @@ def test_outlier_rows_are_bounded_and_spread_out():
         cfg = MixtureConfig(seed=seed)
         lo, hi = cfg.outlier_range
         ds = generate(cfg)
-        out = ds.X[ds.labels == OUTLIER]
+        out = ds.X[ds.labels == TRIMMED]
         assert float(out.min()) >= lo
         assert float(out.max()) <= hi
         spans = out.max(axis=1) - out.min(axis=1)
@@ -100,7 +100,7 @@ def test_outlier_rows_are_bounded_and_spread_out():
 
 def test_outliers_are_shuffled_into_the_row_order():
     ds = generate(MixtureConfig(seed=3))
-    positions = np.flatnonzero(ds.labels == OUTLIER)
+    positions = np.flatnonzero(ds.labels == TRIMMED)
     assert positions.tolist() != list(range(500, 550))
 
 
@@ -157,8 +157,8 @@ def test_true_partition_maps_outliers_to_trimmed():
     assert part.K == 3
     assert part.alpha == 0.0
     assert part.labels is not ds.labels
-    assert np.array_equal(part.labels == TRIMMED, ds.labels == OUTLIER)
-    assert np.array_equal(part.labels[part.labels != TRIMMED], ds.labels[ds.labels != OUTLIER])
+    assert np.array_equal(part.labels == TRIMMED, ds.labels == TRIMMED)
+    assert np.array_equal(part.labels[part.labels != TRIMMED], ds.labels[ds.labels != TRIMMED])
 
 
 def test_dataset_csv_round_trip_with_labels(tmp_path):
@@ -282,12 +282,20 @@ def test_dataset_csv_cells_parse_bitwise_as_float(tmp_path, header):
     path.write_bytes((header + "\r\n".join(lines) + "\r\n").encode("utf-8"))
     X, y = read_dataset_csv(path)
     assert X.tobytes() == np.array([[float(t) for t in r] for r in rows]).tobytes()
-    assert y.tolist() == [0, OUTLIER, 1]
+    assert y.tolist() == [0, TRIMMED, 1]
 
     path.write_bytes(("\r\n".join(",".join(r) for r in rows) + "\r\n").encode("utf-8"))
     X, y = read_dataset_csv(path)
     assert y is None
     assert X.tobytes() == np.array([[float(t) for t in r] for r in rows]).tobytes()
+
+
+def test_a_headerless_file_of_no_rows_is_one_empty_line(tmp_path):
+    path = tmp_path / "none.csv"
+    write_dataset_csv(np.empty((0, 3)), None, path, header=False)
+    assert path.read_bytes() == b"\n"
+    with pytest.raises(DataError, match="has no data rows$"):
+        read_dataset_csv(path)
 
 
 def test_dataset_csv_ignores_a_byte_order_mark(tmp_path):
@@ -389,7 +397,7 @@ def test_headerless_labels_are_sniffed_from_the_whole_file(tmp_path):
     X, labels = _long_file(path, edits={_LONG_ROWS - 5: "1.0,2.0,3.0,OUT"})
     back, y = read_dataset_csv(path)  # one OUT cell in the last rows makes the column labels
     assert back[:10].tobytes() == X[:10].tobytes() and back.shape == X.shape
-    assert y[-5] == OUTLIER and np.array_equal(np.delete(y, -5), np.delete(labels, -5))
+    assert y[-5] == TRIMMED and np.array_equal(np.delete(y, -5), np.delete(labels, -5))
 
     # with it, a fractional trailing value in the first rows is a bad label
     _long_file(path, edits={10: "1.0,2.0,3.0,1.5", _LONG_ROWS - 5: "1.0,2.0,3.0,OUT"})
@@ -408,15 +416,32 @@ def test_cells_in_a_late_block_parse_bitwise_as_float(tmp_path):
     _long_file(path, header, width=len(_TOKENS) + 1, edits={late: ",".join(_TOKENS + [" OUT"])})
     X, y = read_dataset_csv(path)
     assert X[late].tobytes() == np.array([float(t) for t in _TOKENS]).tobytes()
-    assert y[late] == OUTLIER
+    assert y[late] == TRIMMED
 
 
-def test_an_information_separator_in_a_late_block_is_not_space(tmp_path):
-    # str.strip() removes U+001C..U+001F but float() does not: such a cell is refused
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+@pytest.mark.parametrize("parser", ["numpy", "float"])
+def test_an_information_separator_at_a_cell_edge_is_stripped(tmp_path, monkeypatch, sep, parser):
+    # str.strip() removes U+001C..U+001F and float() does not, so a cell edged by one reads as
+    # float(cell.strip()) mid-row and at a row's end alike; a 1_000 cell sends its block to float()
+    late = _LONG_ROWS - 5
+    edits = {late: f"{sep}1.0,2.5{sep},{sep}-7.25{sep},2{sep}"}
+    if parser == "float":
+        edits[late - 1] = "1_000,2.0,3.0,0"
+    calls = []
+
+    def spy(rows):  # records each float() parse
+        calls.append(rows)
+        return _float_matrix(rows)
+
+    monkeypatch.setattr(datagen, "_float_matrix", spy)
     path = tmp_path / "long.csv"
-    _long_file(path, "x0,x1,x2,label", edits={_LONG_ROWS - 5: "1.0,2.5\x1c,3.0,0"})
-    with pytest.raises(DataError, match=r"could not convert string to float: '2.5\\x1c'$"):
-        read_dataset_csv(path)
+    _long_file(path, "x0,x1,x2,label", edits=edits)
+    X, y = read_dataset_csv(path)
+    assert X[late].tobytes() == np.array([1.0, 2.5, -7.25]).tobytes() and y[late] == 2
+    assert bool(calls) == (parser == "float")
+    if parser == "float":
+        assert X[late - 1].tolist() == [1000.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("side, bound", [("write", 1.0), ("read", 3.0)])
@@ -427,7 +452,7 @@ def test_dataset_csv_io_holds_about_one_matrix(tmp_path, side, bound):
 
     rng = np.random.default_rng(5)
     X = rng.normal(size=(4000, 100))
-    labels = rng.integers(OUTLIER, 3, size=4000)
+    labels = rng.integers(TRIMMED, 3, size=4000)
     path = tmp_path / "big.csv"
     if side == "read":
         write_dataset_csv(X, labels, path)

@@ -12,6 +12,7 @@ import pytest
 
 from hdbwdm import (
     DataError,
+    SpatialMedianInfo,
     medoid,
     robust_scale_apply,
     robust_scale_fit,
@@ -67,6 +68,24 @@ def test_spatial_median_1d_is_ordinary_median():
 
 def test_spatial_median_two_points_midpoint():
     assert np.allclose(spatial_median([[0.0, 0.0], [2.0, 4.0]]), [1.0, 2.0])
+
+
+def test_spatial_median_full_output_without_iterating():
+    # two points: their midpoint; identical points: that point, at distance 0
+    point, info = spatial_median([[0.0, 0.0], [2.0, 4.0]], full_output=True)
+    assert point.tolist() == [1.0, 2.0]
+    assert info.converged and info.n_iter == 0
+    assert info.objective == pytest.approx(2 * math.sqrt(5.0))
+    pts = [[1.5, -2.0]] * 4
+    point, info = spatial_median(pts, full_output=True)
+    assert point.tolist() == [1.5, -2.0]
+    assert info == SpatialMedianInfo(converged=True, n_iter=0, objective=0.0)
+    assert spatial_median(pts).tobytes() == point.tobytes()
+
+
+def test_as_points_reads_1d_input_as_scalar_points():
+    X = geometry._as_points([3.0, -1.0, 2.5])
+    assert X.shape == (3, 1) and X[:, 0].tolist() == [3.0, -1.0, 2.5]
 
 
 def test_spatial_median_fermat_point():

@@ -14,6 +14,7 @@ from hdbwdm import (
     DataError,
     MixtureConfig,
     ProjectionModel,
+    UsageError,
     distortion_profile,
     fit_pca,
     fit_random_projection,
@@ -104,6 +105,16 @@ def test_pca_rank_error_message():
         fit_pca(X, p=5)
 
 
+def test_pca_needs_two_rows():
+    with pytest.raises(UsageError, match="^PCA needs at least 2 observations, got 1$"):
+        fit_pca(np.ones((1, 3)), 1)
+
+
+def test_projection_model_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match=r"^kind must be one of \('rp', 'pca'\), got 'ica'$"):
+        ProjectionModel(kind="ica", matrix=np.eye(2), centers=np.zeros(2))
+
+
 def test_pca_centers_projected_fitting_data():
     rng = np.random.default_rng(8)
     X = rng.normal(loc=7.0, size=(30, 6))
@@ -175,6 +186,11 @@ def test_distortion_rotation_is_isometry():
 def test_distortion_needs_two_rows():
     with pytest.raises(ValueError):
         distortion_profile(np.zeros((1, 3)), np.zeros((1, 2)))
+
+
+def test_distortion_refuses_a_row_mismatch():
+    with pytest.raises(ValueError, match="^row mismatch: X has 3 rows, X_proj has 2$"):
+        distortion_profile(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 def test_distortion_all_duplicate_rows():

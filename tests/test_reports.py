@@ -96,6 +96,15 @@ def test_index_report_reader_rejects_multiple_rows(tmp_path, edit, message):
     assert str(path) in str(caught.value)
 
 
+def test_report_csv_reader_skips_blank_lines(tmp_path):
+    report = _one_report()
+    path = tmp_path / "report.csv"
+    write_index_report(report, path, "csv")
+    header, row = path.read_text().splitlines()
+    path.write_text(f"\n{header}\n\n{row}\n\n")
+    assert read_index_report(path, "csv") == report
+
+
 def test_commented_csv_needs_a_header(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# only=comments\n")

@@ -297,6 +297,17 @@ def test_pipeline_config_validation():
         PipelineConfig(K=2, p=5, alpha=0.6)
     with pytest.raises(ValueError):
         PipelineConfig(K=2, p=5, projection="umap")
+    message = r"^center_kind must be one of \('medoid', 'spatial-median'\), got 'mean'$"
+    with pytest.raises(UsageError, match=message):
+        PipelineConfig(K=2, p=5, center_kind="mean")
+    with pytest.raises(UsageError, match="^seed must be >= 0, got -1$"):
+        PipelineConfig(K=2, p=5, seed=-1)
+
+
+def test_awdm_refuses_a_row_count_mismatch():
+    part = Partition(labels=np.array([0, 0, 1, 1]), alpha=0.0)
+    with pytest.raises(ValueError, match="^X has 3 rows but the partition labels 4$"):
+        awdm(np.zeros((3, 2)), part, np.zeros((2, 2)))
 
 
 def test_pipeline_config_k_is_needed_only_to_fit():
