@@ -157,7 +157,7 @@ def _cmd_diagnostic(args) -> int:
 
 def _parse_list(text: str, cast, flag: str):
     try:
-        values = [cast(tok) for tok in text.split(",") if tok.strip()]
+        values = [cast(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse {flag} {text!r}: {exc}") from exc
     if not values:

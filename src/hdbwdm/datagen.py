@@ -186,13 +186,15 @@ def _is_float(cell: str) -> bool:
 def _float_matrix(rows: list[list[str]]):
     """``float(cell.strip())`` of every cell, parsed in one call.
 
-    Returns ``(matrix, None)``, or ``(None, message)`` with ``float()``'s
-    message for the first cell that does not parse.
+    Returns ``(matrix, None)``, or ``(None, (i, message))``: ``float()``'s
+    message for the first cell that does not parse, and its row ``i``.
+    Only a refused call scans the rows a second time, to find ``i``.
     """
     try:
         return np.array([[cell.strip() for cell in row] for row in rows], dtype=float), None
     except ValueError as exc:
-        return None, str(exc)
+        i = next(i for i, row in enumerate(rows) if not all(map(_is_float, row)))
+        return None, (i, str(exc))
 
 
 def _label_error(tok: str) -> str:
@@ -202,42 +204,6 @@ def _label_error(tok: str) -> str:
     except (ValueError, OverflowError) as exc:
         return str(exc)
     return f"label {tok!r} is not a whole number that fits int64"
-
-
-def _parse_block(lines: list[str], width: int):
-    """Parse stripped rows of ``width`` cells each.
-
-    Returns the leading ``width - 1`` columns as floats (None if a cell in
-    them does not parse), the trailing column as floats (nan where a cell
-    is ``OUT`` or text), its ``OUT`` mask, and the block's first defect of
-    each kind as a message: ``lead`` and ``all`` for a bad cell without
-    and with the trailing column, ``label`` for a trailing cell that is
-    neither ``OUT`` nor a whole number that fits int64.  numpy's parser
-    reads the block unless it refuses it; then every cell is parsed with
-    ``float()``.  Both read a cell as ``float(cell.strip())``.
-    """
-    tails = [line[line.rfind(",") + 1:].strip() for line in lines]
-    out = np.array([t.upper() == "OUT" for t in tails], dtype=bool)
-    defects = {}
-    try:
-        lead = np.empty((len(lines), 0))
-        if width > 1:
-            lead = np.loadtxt(
-                lines, delimiter=",", usecols=range(width - 1), comments=None, ndmin=2
-            )
-        last = np.array(["nan" if o else t for t, o in zip(tails, out)], dtype=float)
-        if out.any():  # the first bad cell, if the trailing column is data
-            _, defects["all"] = _float_matrix([[tails[int(np.argmax(out))]]])
-    except ValueError:
-        rows = [line.split(",") for line in lines]
-        lead, defects["lead"] = _float_matrix([row[:-1] for row in rows])
-        _, defects["all"] = _float_matrix(rows)
-        last = np.array([float(t) if _is_float(t) else math.nan for t in tails])
-    whole = (last == np.trunc(last)) & (last >= -(2.0**63)) & (last < 2.0**63)
-    bad = ~(out | whole)
-    if bad.any():
-        defects["label"] = _label_error(tails[int(np.argmax(bad))])
-    return lead, last, out, {kind: d for kind, d in defects.items() if d is not None}
 
 
 def read_dataset_csv(path):
@@ -252,21 +218,43 @@ def read_dataset_csv(path):
     label cell must be ``OUT`` or such a whole number; any other is a
     :class:`DataError`.
 
-    Every cell reads as ``float(cell.strip())``.  The rows are parsed a block
-    of cells at a time and the blocks joined at the end, so the reader
-    holds about two matrices and one block's text; which defect it
-    reports is decided over the whole file, wherever the blocks fall.
+    Every cell reads as ``float(cell.strip())``, parsed once.  The rows are
+    parsed a block of cells at a time and the blocks joined at the end, so
+    the reader holds about two matrices and one block's text; which defect
+    it reports is decided over the whole file, wherever the blocks fall.
     """
     header_cells = None
     width = None
     blocks = []  # (leading columns, trailing column, its OUT mask) per block
-    first = {}  # the file's first defect of each kind
+    n = 0  # data rows parsed
+    # the file's first cell that float() refuses in the leading columns and in the
+    # trailing one (OUT included), as (row, message); and its first bad label
+    bad_lead = bad_tail = (math.inf, None)
+    bad_label = None
 
     def parse(lines):
-        lead, last, out, defects = _parse_block(lines, width)
+        nonlocal n, bad_lead, bad_tail, bad_label
+        try:  # numpy's parser reads the leading columns unless it refuses a cell
+            lead = np.loadtxt(lines, delimiter=",", usecols=range(width - 1), comments=None, ndmin=2)
+        except ValueError:
+            lead, refused = _float_matrix([line.split(",")[:-1] for line in lines])
+            if refused:
+                bad_lead = min(bad_lead, (n + refused[0], refused[1]))
+        tails = [line[line.rfind(",") + 1:].strip() for line in lines]
+        last = np.empty(len(tails))
+        for i, tail in enumerate(tails):
+            try:
+                last[i] = float(tail)
+            except ValueError as exc:  # OUT or text: nan
+                last[i] = math.nan
+                bad_tail = min(bad_tail, (n + i, str(exc)))
+        out = np.array([t.upper() == "OUT" for t in tails], dtype=bool)
+        whole = (last == np.trunc(last)) & (last >= -(2.0**63)) & (last < 2.0**63)
+        bad = ~(out | whole)
+        if bad.any() and bad_label is None:
+            bad_label = _label_error(tails[int(np.argmax(bad))])
         blocks.append((lead, last, out))
-        for kind, defect in defects.items():
-            first.setdefault(kind, defect)
+        n += len(lines)
 
     with open(path, encoding="utf-8-sig") as fh:
         lines = []
@@ -292,7 +280,7 @@ def read_dataset_csv(path):
     if width is None:
         raise DataError(f"dataset file {path} has no data rows")
     if header_cells is None:
-        labels = any(out.any() for _, _, out in blocks) or (width > 1 and "label" not in first)
+        labels = any(out.any() for _, _, out in blocks) or (width > 1 and bad_label is None)
     elif len(header_cells) != width:
         raise DataError(
             f"dataset file {path} has a header of {len(header_cells)} cells, "
@@ -302,12 +290,12 @@ def read_dataset_csv(path):
         labels = header_cells[-1].lower() == "label"
     if labels and width < 2:
         raise DataError(f"dataset file {path} has no feature columns beside the label")
-    defect = first.get("lead" if labels else "all")
-    if defect is None and labels:
-        defect = first.get("label")
+    if labels:
+        defect = bad_lead[1] or bad_label
+    else:  # the first bad cell in row order; within a row the leading cells come first
+        defect = min(bad_lead, bad_tail, key=lambda fact: fact[0])[1]
     if defect:
         raise DataError(f"cannot parse dataset file {path}: {defect}")
-    n = sum(len(last) for _, last, _ in blocks)
     X = np.empty((n, width - 1 if labels else width))
     y = np.empty(n, dtype=int) if labels else None
     row = 0

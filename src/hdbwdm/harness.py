@@ -208,9 +208,10 @@ def run_sweep(
     argument, each (p, method) against ``cfg``'s shape and ``cfg.K_true``
     against the rows ``alpha`` retains included, is checked before any
     data is drawn.  Failed replications are dropped; a cell with more
-    than 20% failures raises a :class:`NumericalError`.  Replications may
-    run across up to ``n_workers`` processes, never more than there are
-    replications, without changing any output.
+    than 20% failures raises a :class:`NumericalError`, as does a worker
+    process that dies mid-run.  Replications may run across up to
+    ``n_workers`` processes, never more than there are replications,
+    without changing any output.
     """
     p_values = [int(p) for p in p_values]
     methods = list(methods)
@@ -242,9 +243,13 @@ def run_sweep(
     n_workers = min(n_workers, len(jobs))  # a pool starts all its workers up front
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; only pools need it
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=(sweep,)) as pool:
-            results = list(pool.map(_sweep_job, jobs, chunksize=1))
+        try:
+            with ProcessPoolExecutor(n_workers, initializer=_init_worker, initargs=(sweep,)) as pool:
+                results = list(pool.map(_sweep_job, jobs, chunksize=1))
+        except BrokenProcessPool as exc:  # a worker killed mid-run, by the OOM killer for one
+            raise NumericalError(f"a sweep worker process died: {exc}") from exc
     else:
         results = [_sweep_job(job, sweep) for job in jobs]
 

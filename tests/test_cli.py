@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 
 from hdbwdm import MixtureConfig, generate, read_dataset_csv, write_dataset_csv
 from hdbwdm.cli import main
+import hdbwdm.harness as harness
 from hdbwdm.reports import read_diagnostic, read_index_report
 
 
@@ -266,6 +268,38 @@ def test_sweep_usage_and_numerical_exits(tmp_path):
         "--p-list", "4", "--methods", "rp", "--reps", "3",
         "--alpha", "0.45", "--seed", "0", "--out", str(tmp_path),
     ]) == 3
+
+
+def test_a_spaced_method_list_is_read_like_a_spaced_p_list(tmp_path, capsys):
+    assert main([
+        "sweep", "--n-inliers", "40", "--d", "30", "--k-true", "2", "--p-list", "6, 10",
+        "--methods", "rp, pca", "--reps", "2", "--out", str(tmp_path / "spaced"),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "p=10 method=rp" in out and "p=10 method=pca" in out
+
+
+_unpatched_sweep_job = harness._sweep_job
+
+
+def _sweep_job_killed_on_rep_1(job, sweep=None):
+    """A sweep job whose worker process dies at rep 1, as if the OOM killer took it."""
+    if job[2] == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _unpatched_sweep_job(job, sweep)
+
+
+def test_a_killed_sweep_worker_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # forked workers inherit the patched job, so one of them kills itself mid-run
+    monkeypatch.setattr(harness, "_sweep_job", _sweep_job_killed_on_rep_1)
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", "--n-inliers", "40", "--d", "30", "--k-true", "2", "--p-list", "6",
+        "--methods", "rp", "--reps", "3", "--workers", "2", "--out", str(out),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: a sweep worker process died") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

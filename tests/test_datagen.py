@@ -385,6 +385,42 @@ def test_a_bad_feature_cell_late_outranks_a_bad_label_early(tmp_path):
         read_dataset_csv(path)
 
 
+@pytest.mark.parametrize("header", [None, "x0,x1,x2,x3"])
+def test_an_unlabeled_file_reports_its_first_bad_cell_in_row_order(tmp_path, header):
+    # with no label column, a bad trailing cell early outranks a bad feature cell late
+    path = tmp_path / "long.csv"
+    _long_file(path, header, edits={10: "1.0,2.0,3.0,y", _LONG_ROWS - 5: "1.0,z,3.0,0"})
+    with pytest.raises(DataError, match="could not convert string to float: 'y'$"):
+        read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("tail", ["y", "OUT"])
+def test_in_one_row_the_bad_feature_cell_outranks_the_trailing_cell(tmp_path, tail):
+    path = tmp_path / "long.csv"
+    _long_file(path, "x0,x1,x2,x3", edits={_LONG_ROWS - 5: f"1.0,z,3.0,{tail}"})
+    with pytest.raises(DataError, match="could not convert string to float: 'z'$"):
+        read_dataset_csv(path)
+
+
+def test_a_block_numpy_refuses_is_parsed_once_by_float(tmp_path, monkeypatch):
+    # a 1_000 cell in every block: float() reads each block's leading cells, once
+    step = datagen._BLOCK_CELLS // 4
+    edits = {row: "1_000,2.0,3.0,0" for row in range(7, _LONG_ROWS, step)}
+    calls = []
+
+    def spy(rows):
+        calls.append(rows)
+        return _float_matrix(rows)
+
+    monkeypatch.setattr(datagen, "_float_matrix", spy)
+    path = tmp_path / "long.csv"
+    _long_file(path, "x0,x1,x2,label", edits=edits)
+    X, y = read_dataset_csv(path)
+    assert len(calls) == len(edits) == -(-_LONG_ROWS // step)
+    assert all(len(row) == 3 for rows in calls for row in rows)
+    assert X[7].tolist() == [1000.0, 2.0, 3.0] and y[7] == 0
+
+
 def test_a_ragged_row_late_outranks_a_header_of_another_width(tmp_path):
     path = tmp_path / "long.csv"
     _long_file(path, "x0,label", edits={_LONG_ROWS - 5: "1.0,2.0,3.0,4.0,0"})
