@@ -117,23 +117,23 @@ def generate(cfg: MixtureConfig) -> LabeledDataset:
 
     Draw order for a given seed is fixed: cluster 0..K-1 inlier blocks,
     then the outlier block, then one shuffle permutation, all from a
-    single ``default_rng(cfg.seed)``.
+    single ``default_rng(cfg.seed)``, into one matrix that is then
+    shuffled into a copy: the peak is those two matrices.
     """
     rng = np.random.default_rng(cfg.seed)
-    sizes = _cluster_sizes(cfg)
     means = _cluster_means(cfg)
-    blocks = []
-    labels = []
-    for k in range(cfg.K_true):
-        blocks.append(rng.standard_normal((sizes[k], cfg.d)) * cfg.within_sd + means[k])
-        labels.append(np.full(sizes[k], k, dtype=int))
-    n_out = cfg.n_outliers
-    if n_out:
-        lo, hi = cfg.outlier_range
-        blocks.append(rng.uniform(lo, hi, size=(n_out, cfg.d)))
-        labels.append(np.full(n_out, TRIMMED, dtype=int))
-    X = np.vstack(blocks)
-    y = np.concatenate(labels)
+    X = np.empty((cfg.n_total, cfg.d))
+    y = np.full(cfg.n_total, TRIMMED, dtype=int)
+    start = 0
+    for k, size in enumerate(_cluster_sizes(cfg)):
+        block = X[start:start + size]  # a view, drawn, scaled and shifted in place
+        rng.standard_normal(out=block)
+        block *= cfg.within_sd
+        block += means[k]
+        y[start:start + size] = k
+        start += size
+    if cfg.n_outliers:
+        X[start:] = rng.uniform(*cfg.outlier_range, size=(cfg.n_outliers, cfg.d))
     perm = rng.permutation(cfg.n_total)
     return LabeledDataset(X=X[perm], labels=y[perm], config=cfg)
 

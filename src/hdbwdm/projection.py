@@ -62,6 +62,13 @@ class ProjectionModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if np.ndim(self.matrix) != 2:
+            raise ValueError(f"matrix must be 2-D (p, d), got shape {np.shape(self.matrix)}")
+        if np.shape(self.centers) != (self.d,):
+            raise ValueError(f"centers must have shape ({self.d},), got {np.shape(self.centers)}")
+        ev = self.explained_variance
+        if ev is not None and np.shape(ev) != (self.p,):
+            raise ValueError(f"explained_variance must have shape ({self.p},), got {np.shape(ev)}")
 
     @property
     def p(self) -> int:
@@ -131,6 +138,8 @@ def fit_pca(X, p: int) -> ProjectionModel:
 def project(X, model: ProjectionModel) -> np.ndarray:
     """Apply a fitted projection to an (n, d) matrix, returning (n, p).
 
+    Zero centers (a random projection) make no centred copy.
+
     The bytes follow the BLAS build, its CPU kernel and its thread count,
     which this function never changes.
     """
@@ -139,7 +148,9 @@ def project(X, model: ProjectionModel) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: X has {X.shape[1]} columns, model expects {model.d}"
         )
-    return (X - model.centers) @ model.matrix.T
+    if np.any(model.centers):
+        X = X - model.centers
+    return X @ model.matrix.T
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clustering import _CENTER_KINDS, _N_INIT, Partition, _seedings
+from .clustering import _BLOCK_FLOATS, _CENTER_KINDS, _N_INIT, Partition, _seedings
 from .clustering import cluster_centers, trimmed_kmeans
 from .errors import NumericalError, UsageError
 from .geometry import _as_points, _distance_kernels, robust_scale_apply, robust_scale_fit
@@ -82,7 +82,8 @@ def awdm(X, part: Partition, centers) -> float:
     Sums the distance from each retained observation to its cluster
     center (row ``k`` of ``centers`` for cluster ``k``) and divides by
     ``retained_count - K``; trimmed observations contribute nothing.
-    Requires ``retained_count > K``.
+    Requires ``retained_count > K`` and ``centers`` a finite (K, p) matrix.
+    The retained rows are copied a block of ``_BLOCK_FLOATS`` floats at a time.
     """
     X = _as_points(X, "X")
     if X.shape[0] != part.n:
@@ -90,12 +91,21 @@ def awdm(X, part: Partition, centers) -> float:
     retained = part.retained_count
     if retained <= part.K:
         raise ValueError(f"awdm needs retained_count > K, got {retained} <= {part.K}")
-    mask = ~part.trimmed_mask
-    diffs = X[mask]  # a copy, squared in place: beside X it holds two n x p arrays
-    diffs -= np.asarray(centers, dtype=float)[part.labels[mask]]
-    diffs **= 2
-    total = float(np.sqrt(diffs.sum(axis=1)).sum())
-    return total / (retained - part.K)
+    C = np.asarray(centers, dtype=float)
+    if C.shape != (part.K, X.shape[1]):
+        raise ValueError(f"centers must have shape {(part.K, X.shape[1])}, got {C.shape}")
+    if not np.isfinite(C).all():
+        raise ValueError("centers contain non-finite entries")
+    rows = np.flatnonzero(~part.trimmed_mask)
+    sq = np.empty(retained)  # each retained row's squared distance to its center
+    step = max(1, _BLOCK_FLOATS // max(1, X.shape[1]))
+    for start in range(0, retained, step):
+        block = rows[start:start + step]
+        diffs = X[block]  # a copy, squared in place
+        diffs -= C[part.labels[block]]
+        diffs **= 2
+        diffs.sum(axis=1, out=sq[start:start + step])
+    return float(np.sqrt(sq).sum()) / (retained - part.K)
 
 
 def bwdm(X, part: Partition, center_kind: str = "spatial-median") -> IndexReport:
@@ -244,7 +254,9 @@ def hd_bwdm(
         raise UsageError("hd_bwdm needs cfg.K to fit a partition, or true_labels to score")
     Xs = _embed(X_raw, cfg.scale)
     _admit(cfg, *Xs.shape, true_labels)
-    return _score(project(Xs, _fit_model(Xs, cfg, projection_model)), cfg, true_labels)
+    Xp = project(Xs, _fit_model(Xs, cfg, projection_model))
+    del Xs  # only the projected rows are read from here on
+    return _score(Xp, cfg, true_labels)
 
 
 @dataclass(frozen=True)
@@ -291,6 +303,7 @@ def select_k(X_raw, k_range, cfg_template: PipelineConfig) -> SelectKResult:
     _admit(replace(cfg_template, K=None), *Xs.shape)
     model = _fit_model(Xs, cfg_template)
     Xp = project(Xs, model)
+    del Xs  # only the projected rows are read from here on
 
     clust_seed = _sub_seeds(cfg_template.seed)[1]
     try:

@@ -45,6 +45,41 @@ def test_generate_is_deterministic_per_seed():
     assert not np.array_equal(a.X, c.X)
 
 
+def _generate_by_vstack(cfg):
+    """``generate`` as one array per block, stacked, then shuffled."""
+    rng = np.random.default_rng(cfg.seed)
+    base, rem = divmod(cfg.n_inliers, cfg.K_true)
+    sizes = [base + (k < rem) for k in range(cfg.K_true)]
+    blocks, labels = [], []
+    for k, size in enumerate(sizes):
+        blocks.append(rng.standard_normal((size, cfg.d)) * cfg.within_sd + _cluster_means(cfg)[k])
+        labels.append(np.full(size, k, dtype=int))
+    if cfg.n_outliers:
+        blocks.append(rng.uniform(*cfg.outlier_range, size=(cfg.n_outliers, cfg.d)))
+        labels.append(np.full(cfg.n_outliers, TRIMMED, dtype=int))
+    perm = rng.permutation(cfg.n_total)
+    return np.vstack(blocks)[perm], np.concatenate(labels)[perm]
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {},
+        {"n_inliers": 6000, "d": 20, "K_true": 5},
+        {"n_inliers": 503, "d": 7, "K_true": 4, "outlier_fraction": 0.0},
+        {"n_inliers": 37, "d": 3, "K_true": 1},
+        {"n_inliers": 61, "d": 12, "K_true": 3, "within_sd": 0.3, "center_spacing": -2.5},
+    ],
+    ids=["benchmark", "tall", "remainder without outliers", "one cluster", "negative spacing"],
+)
+def test_generate_is_bitwise_the_stacked_blocks(settings):
+    for seed in range(6):
+        ds = generate(MixtureConfig(**settings, seed=seed))
+        X, labels = _generate_by_vstack(MixtureConfig(**settings, seed=seed))
+        assert ds.X.tobytes() == X.tobytes(), seed
+        assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels), seed
+
+
 def test_cluster_means_are_collinear_multiples_of_spacing():
     cfg = MixtureConfig(n_inliers=50, d=9, K_true=4, center_spacing=15.0)
     means = _cluster_means(cfg)

@@ -1,4 +1,4 @@
-"""Distance primitives, spatial median, medoid, robust scaling."""
+"""Distance primitives, spatial median, medoid, robust scaling, and each stage's traced peak."""
 
 import math
 import os
@@ -11,11 +11,20 @@ import numpy as np
 import pytest
 
 from hdbwdm import (
+    TRIMMED,
     DataError,
+    MixtureConfig,
+    Partition,
+    PipelineConfig,
     SpatialMedianInfo,
+    awdm,
+    fit_random_projection,
+    generate,
     medoid,
+    project,
     robust_scale_apply,
     robust_scale_fit,
+    select_k,
     spatial_median,
 )
 import hdbwdm.geometry as geometry
@@ -520,6 +529,52 @@ def test_robust_scaling_holds_one_working_copy():
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * X.nbytes, (step, peak / X.nbytes)
+
+
+def _traced_peak(step):
+    """``step()``'s result and traced peak, after an untraced call has run its one-time imports."""
+    import tracemalloc
+
+    step()
+    tracemalloc.start()
+    try:
+        out = step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_generation_holds_the_matrix_and_its_shuffled_copy():
+    ds, peak = _traced_peak(lambda: generate(MixtureConfig(n_inliers=2000, d=300, seed=3)))
+    assert peak <= 2.1 * ds.X.nbytes, peak / ds.X.nbytes
+
+
+def test_rp_projection_holds_only_its_output():
+    X = np.random.default_rng(5).normal(size=(2000, 500))
+    model = fit_random_projection(d=500, p=300, seed=1)
+    Xp, peak = _traced_peak(lambda: project(X, model))
+    assert peak <= 1.05 * Xp.nbytes, peak / Xp.nbytes
+
+
+def test_awdm_holds_row_blocks_of_the_projected_rows():
+    rng = np.random.default_rng(6)
+    Xp = rng.normal(size=(2000, 300))
+    labels = rng.integers(0, 5, size=2000)
+    labels[::10] = TRIMMED
+    part = Partition(labels=labels, alpha=0.1)
+    _, peak = _traced_peak(lambda: awdm(Xp, part, rng.normal(size=(5, 300))))
+    assert peak <= 0.5 * Xp.nbytes, peak / Xp.nbytes
+
+
+def test_a_k_scan_holds_its_scaled_and_projected_rows():
+    # the scaled rows are dropped once projected, so the fits and the index
+    # work within the room they leave
+    X = generate(MixtureConfig(n_inliers=1800, d=300, seed=5)).X
+    cfg = PipelineConfig(p=100, alpha=0.1, seed=4)
+    _, peak = _traced_peak(lambda: select_k(X, range(2, 5), cfg))
+    bound = X.nbytes + X.shape[0] * cfg.p * 8 + 2**20
+    assert peak <= bound, (peak, bound)
 
 
 def test_robust_scale_rejects_nonfinite():

@@ -115,6 +115,25 @@ def test_projection_model_refuses_an_unknown_kind():
         ProjectionModel(kind="ica", matrix=np.eye(2), centers=np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"matrix": np.ones(3)}, r"^matrix must be 2-D \(p, d\), got shape \(3,\)$"),
+        ({"matrix": np.ones((1, 2, 3))}, r"^matrix must be 2-D \(p, d\), got shape \(1, 2, 3\)$"),
+        ({"centers": np.zeros(4)}, r"^centers must have shape \(3,\), got \(4,\)$"),
+        ({"centers": np.zeros((1, 3))}, r"^centers must have shape \(3,\), got \(1, 3\)$"),
+        ({"explained_variance": np.ones(3)}, r"^explained_variance must have shape \(2,\), got \(3,\)$"),
+    ],
+    ids=["1-D matrix", "3-D matrix", "long centers", "2-D centers", "long variances"],
+)
+def test_projection_model_refuses_mis_shaped_fields(fields, message):
+    # a zero-centers rp model is projected without a centred copy, so a wrong
+    # length would no longer meet numpy's broadcasting check in project
+    good = {"kind": "rp", "matrix": np.ones((2, 3)), "centers": np.zeros(3)}
+    with pytest.raises(ValueError, match=message):
+        ProjectionModel(**{**good, **fields})
+
+
 def test_pca_centers_projected_fitting_data():
     rng = np.random.default_rng(8)
     X = rng.normal(loc=7.0, size=(30, 6))
@@ -145,6 +164,29 @@ def test_project_dimension_mismatch():
     model = fit_random_projection(d=6, p=3, seed=0)
     with pytest.raises(ValueError):
         project(np.zeros((4, 7)), model)
+
+
+def test_project_is_bitwise_the_centred_product():
+    # the centred product is the oracle: an rp model (zero centers, -0.0
+    # ones too) skips the centred copy on every layout
+    rng = np.random.default_rng(14)
+    rp = fit_random_projection(d=40, p=7, seed=3)
+    negative_zero = ProjectionModel(kind="rp", matrix=rp.matrix, centers=np.full(40, -0.0))
+    pca = fit_pca(rng.normal(loc=3.0, size=(60, 40)), p=7)
+    base = rng.normal(size=(301, 40))
+    base[::5] = -0.0
+    inputs = {
+        "C": base,
+        "F": np.asfortranarray(base),
+        "strided columns": np.repeat(base, 2, axis=1)[:, ::2],
+        "strided rows": np.repeat(base, 2, axis=0)[::2],
+        "one row": base[:1],
+        "-0.0 rows": np.full((9, 40), -0.0),
+    }
+    for model in (rp, negative_zero, pca):
+        for name, X in inputs.items():
+            expected = (X - model.centers) @ model.matrix.T
+            assert project(X, model).tobytes() == expected.tobytes(), (model.kind, name)
 
 
 def test_project_linear_for_rp():

@@ -1,6 +1,7 @@
 """Index formulas, the full pipeline, and the K-selection rule."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 from itertools import product
@@ -32,6 +33,7 @@ from hdbwdm import (
     select_k,
     trimmed_kmeans,
 )
+from hdbwdm.clustering import _BLOCK_FLOATS
 from hdbwdm.validity import _sub_seeds
 from oracles import direct_bwdm
 
@@ -110,6 +112,46 @@ def test_awdm_requires_retained_above_k():
     centers = cluster_centers(X, part)
     with pytest.raises(ValueError):
         awdm(X, part, centers)
+
+
+@pytest.mark.parametrize(
+    "centers, message",
+    [
+        (np.zeros((2, 1)), "centers must have shape (2, 2), got (2, 1)"),
+        (np.zeros((3, 2)), "centers must have shape (2, 2), got (3, 2)"),
+        (np.zeros((1, 2)), "centers must have shape (2, 2), got (1, 2)"),
+        (np.array([[0.0, 0.0], [np.nan, 1.0]]), "centers contain non-finite entries"),
+    ],
+    ids=["one column", "extra row", "missing row", "nan"],
+)
+def test_awdm_refuses_centers_that_are_not_a_finite_k_by_p_matrix(centers, message):
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [9.0, 9.0], [8.0, 9.0], [9.0, 8.0]])
+    part = Partition(labels=np.array([0, 0, 0, 1, 1, 1]), alpha=0.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        awdm(X, part, centers)
+
+
+def _full_copy_awdm(X, part, centers):
+    """``awdm`` as one copy of every retained row, squared and summed at once."""
+    mask = ~part.trimmed_mask
+    diffs = X[mask] - np.asarray(centers, dtype=float)[part.labels[mask]]
+    diffs **= 2
+    return float(np.sqrt(diffs.sum(axis=1)).sum()) / (part.retained_count - part.K)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, 8, 300, _BLOCK_FLOATS - 1, _BLOCK_FLOATS, _BLOCK_FLOATS + 1])
+def test_awdm_in_row_blocks_is_bitwise_the_full_copy(p):
+    # n_used below one block, at it, one row past it, and across three blocks
+    rng = np.random.default_rng(p)
+    step = max(1, _BLOCK_FLOATS // max(1, p))
+    for n_used in sorted({4, step - 1, step, step + 1, 3 * step + 2} - {0, 1, 2, 3}):
+        n = n_used + n_used // 9
+        labels = np.full(n, TRIMMED)
+        labels[rng.permutation(n)[:n_used]] = np.arange(n_used) % 3
+        part = Partition(labels=labels, alpha=0.1)
+        X = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e4], size=(n, 1))
+        C = rng.normal(size=(3, p))
+        assert awdm(X, part, C) == _full_copy_awdm(X, part, C), (p, n_used)
 
 
 def test_bwdm_hand_value_both_center_kinds():
