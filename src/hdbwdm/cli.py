@@ -136,8 +136,7 @@ def _cmd_bwdm(args) -> int:
 
 def _cmd_hdbwdm(args) -> int:
     cfg = _pipeline_from(args, K=args.k)
-    X, _ = read_dataset_csv(args.input)
-    report = hd_bwdm(X, cfg)
+    report = hd_bwdm(read_dataset_csv(args.input)[0], cfg)  # no name: hd_bwdm frees the raw rows
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"report.{args.format}")
     write_index_report(report, path, args.format)

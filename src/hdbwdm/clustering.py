@@ -38,6 +38,7 @@ are the leading K distance rows.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,7 @@ _CENTER_KINDS = ("medoid", "spatial-median")  # what cluster_centers computes
 _N_INIT = 10  # restarts per fit
 _MAX_ITER = 100  # concentration steps per restart, at most
 _BLOCK_FLOATS = 2**15  # most floats in a multi-restart group's (restarts, K, n) distances: 256 KB
+_WEISZFELD_MAX_ITER = 20000  # steps per spatial-median center, at most
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,14 @@ class Partition:
             raise ValueError("labels must be a non-empty 1-D array")
         if not 0.0 <= self.alpha < 0.5:
             raise ValueError(f"alpha must lie in [0, 0.5), got {self.alpha}")
-        present = np.unique(labels[labels != TRIMMED])  # sorted: 0..K-1 when it spans 0..size-1
-        if present.size == 0 or present[0] != 0 or present[-1] != present.size - 1:
-            ids = np.array2string(present, separator=", ", threshold=8, edgeitems=3,
+        kept = labels[labels != TRIMMED]
+        top = int(kept.max()) if kept.size else -1
+        # top < size is tested first, so the bincount is never longer than n, whatever the ids
+        if not (kept.size and kept.min() == 0 and top < kept.size and np.bincount(kept).all()):
+            ids = np.array2string(np.unique(kept), separator=", ", threshold=8, edgeitems=3,
                                   formatter={"int": str})
             raise ValueError(f"retained cluster ids must be 0..K-1 with none missing, got {ids}")
-        object.__setattr__(self, "K", int(present[-1]) + 1)
+        object.__setattr__(self, "K", top + 1)
 
     @property
     def n(self) -> int:
@@ -341,6 +345,10 @@ def cluster_centers(X, part: Partition, kind: str = "medoid", *, memo=None) -> n
     A center depends only on its member rows, so one memo may serve every
     partition of the same ``X`` with the same ``kind``; a K scan passes one
     for its whole call, since splitting one cluster leaves the others as they were.
+
+    A spatial median still moving after ``_WEISZFELD_MAX_ITER`` steps is
+    kept as its last iterate, with a warning naming the cluster, its size
+    and the steps run; a memo hit does not warn again.
     """
     if kind not in _CENTER_KINDS:
         raise UsageError(f"kind must be {' or '.join(map(repr, _CENTER_KINDS))}, got {kind!r}")
@@ -361,6 +369,14 @@ def cluster_centers(X, part: Partition, kind: str = "medoid", *, memo=None) -> n
                 # tighter than the user-facing defaults so center jitter stays
                 # well below the index invariance tolerances; the Weiszfeld rate
                 # can sit near 0.97, which needs a few thousand iterations
-                memo[key] = spatial_median(members, tol=1e-12, max_iter=20000)
+                memo[key], info = spatial_median(
+                    members, tol=1e-12, max_iter=_WEISZFELD_MAX_ITER, full_output=True
+                )
+                if not info.converged:
+                    warnings.warn(
+                        f"spatial median of cluster {k} ({idx.size} rows) did not converge "
+                        f"in {info.n_iter} steps",
+                        stacklevel=2,
+                    )
         centers[k] = memo[key]
     return centers

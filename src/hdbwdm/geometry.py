@@ -160,7 +160,7 @@ def spatial_median(points, tol: float = 1e-8, max_iter: int = 500, full_output: 
     """
     X = _as_points(points)
     m, dim = X.shape
-    shift = np.median(X, axis=0)  # the answer for one or two points, or identical ones
+    shift = _median_rows(X.T.copy())  # np.median's bytes; the answer for one or two points
     c, converged, n_iter = shift, True, 0
     scale = float(np.linalg.norm(X - shift, axis=1).max()) if m > 2 else 0.0
     if scale > 0.0:

@@ -249,10 +249,14 @@ def hd_bwdm(
 
     ``projection_model`` lets several calls share one fitted embedding;
     it must match ``cfg.projection`` and ``cfg.p``.
+
+    The raw rows are dropped once scaled: on CPython 3.11 a caller that keeps
+    no reference frees them before the projection; on 3.10 its stack keeps them.
     """
     if true_labels is None and cfg.K is None:
         raise UsageError("hd_bwdm needs cfg.K to fit a partition, or true_labels to score")
     Xs = _embed(X_raw, cfg.scale)
+    del X_raw  # only the scaled rows are read from here on
     _admit(cfg, *Xs.shape, true_labels)
     Xp = project(Xs, _fit_model(Xs, cfg, projection_model))
     del Xs  # only the projected rows are read from here on

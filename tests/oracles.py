@@ -3,8 +3,8 @@
 Everything in this file recomputes a quantity from its defining formula by
 grid search, exhaustive enumeration or a plain numpy call, sharing no code
 with the package, so a test that matches both can only pass when the
-formulas agree.  All of it but ``median_mad`` is exponential or grid-based
-and only usable on tiny inputs.
+formulas agree.  All of it but ``median_mad`` and ``weiszfeld_from_np_median``
+is exponential or grid-based and only usable on tiny inputs.
 """
 
 import itertools
@@ -53,6 +53,48 @@ def median_mad(X):
     """
     centers = np.median(X, axis=0)
     return centers, np.median(np.abs(X - centers), axis=0)
+
+
+def weiszfeld_from_np_median(points, tol=1e-8, max_iter=500):
+    """Spatial median as Weiszfeld with the Vardi-Zhang step, started at ``np.median``.
+
+    The iteration written out again, step for step as the package runs
+    it, from the componentwise median that ``np.median(X, axis=0)``
+    gives.  Returns ``(point, converged, n_iter)``; the package's result
+    must match it byte for byte, so its own start gives ``np.median``'s bytes.
+    """
+    X = np.asarray(points, dtype=float)
+    m, dim = X.shape
+    shift = np.median(X, axis=0)
+    if m <= 2:
+        return shift, True, 0
+    scale = float(np.linalg.norm(X - shift, axis=1).max())
+    if scale == 0.0:
+        return shift, True, 0
+    Z = (X - shift) / scale
+    y = np.zeros(dim)
+    converged, n_iter = False, 0
+    for n_iter in range(1, max_iter + 1):
+        d = np.linalg.norm(Z - y, axis=1)
+        far = d > 1e-13
+        if not far.any():
+            converged = True
+            break
+        w = 1.0 / d[far]
+        t = (Z[far] * w[:, None]).sum(axis=0) / w.sum()
+        eta = int((~far).sum())
+        if eta:
+            r = float(np.linalg.norm(((Z[far] - y) * w[:, None]).sum(axis=0)))
+            if r <= eta:
+                converged = True
+                break
+            t = (1.0 - eta / r) * t + eta / r * y
+        step = float(np.linalg.norm(t - y))
+        y = t
+        if step < tol:
+            converged = True
+            break
+    return shift + scale * y, converged, n_iter
 
 
 def brute_medoid(points):

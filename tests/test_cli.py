@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -207,6 +208,26 @@ def test_selectk_skip_warnings_take_one_line_each(tmp_path, capsys):
     assert lines[1].startswith("warning: K=3 skipped: ")
     assert lines[2].startswith("numerical failure: ")
     assert ".py:" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bwdm", "--center", "smedian"],
+    ["hdbwdm", "--k", "2", "--p", "3", "--center", "smedian"],
+])
+def test_a_stalled_spatial_median_is_one_warning_line_and_exit_0(tmp_path, capsys, monkeypatch, argv):
+    import hdbwdm.clustering as clustering
+
+    path = _write_small_dataset(tmp_path)
+    monkeypatch.setattr(clustering, "_WEISZFELD_MAX_ITER", 2)
+    assert main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 2, captured.err
+    for k, line in enumerate(lines):
+        assert re.fullmatch(
+            rf"warning: spatial median of cluster {k} \(\d+ rows\) did not converge in 2 steps", line
+        ), line
+    assert "wrote" in captured.out
 
 
 def test_no_subcommand_and_help_exit_codes(capsys):
@@ -503,7 +524,10 @@ import json, sys
 from hdbwdm.cli import main
 
 def heavy():
-    names = ("scipy", "scipy.spatial", "scipy.sparse", "scipy.linalg", "concurrent.futures.process")
+    names = (
+        "scipy", "scipy.spatial", "scipy.sparse", "scipy.linalg", "concurrent.futures.process",
+        "numpy.ma",
+    )
     return [m for m in names if m in sys.modules]
 
 out = sys.argv[1]
@@ -518,8 +542,8 @@ print(json.dumps({"codes": codes, "seen": seen}))
 
 
 def test_only_distance_commands_load_scipy(tmp_path):
-    # no command imports a scipy package or starts a process pool: hdbwdm's
-    # k-means and medoids load only scipy's compiled distance extension
+    # no command imports a scipy package or numpy.ma, or starts a process pool:
+    # hdbwdm's k-means and medoids load only scipy's compiled distance extension
     proc = subprocess.run(
         [sys.executable, "-c", _HEAVY_MODULES, str(tmp_path)], capture_output=True, text=True
     )
@@ -532,6 +556,35 @@ def test_only_distance_commands_load_scipy(tmp_path):
     assert main([*argv, "--out", str(tmp_path / "in-process")]) == 0
     in_process = (tmp_path / "in-process" / "report.csv").read_bytes()
     assert in_process == (tmp_path / "hd" / "report.csv").read_bytes()
+
+
+_LIBRARY_PATHS = """
+import sys
+from hdbwdm import MixtureConfig, PipelineConfig, bwdm, generate, hd_bwdm, select_k, true_partition
+from hdbwdm.harness import run_diagnostic, run_select_k, run_sweep
+
+cfg = MixtureConfig(n_inliers=60, d=12, K_true=3)
+ds = generate(cfg)
+truth = true_partition(ds)
+for kind in ("medoid", "spatial-median"):
+    bwdm(ds.X, truth, kind)
+    for method in ("rp", "pca"):
+        hd_bwdm(ds.X, PipelineConfig(K=3, p=5, projection=method, center_kind=kind))
+    template = PipelineConfig(p=5, center_kind=kind)
+    select_k(ds.X, range(2, 5), template)
+    run_select_k(ds.X, range(2, 5), template, truth)
+run_sweep(cfg, [4, 8], ["rp", "pca"], reps=2, alpha=0.1, master_seed=0)
+run_diagnostic(cfg, 6, 0.1, 0)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_no_library_path_loads_numpy_ma():
+    # np.unique and np.median import all of numpy.ma (about 1.2 MB); the
+    # pipeline, the harness and both center kinds call neither
+    proc = subprocess.run([sys.executable, "-c", _LIBRARY_PATHS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 _BROKEN_KERNEL = """

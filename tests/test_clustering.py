@@ -1,5 +1,7 @@
 """k-means, trimmed k-means, center extraction, partition plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from hdbwdm import (
     project,
     robust_scale_apply,
     robust_scale_fit,
+    spatial_median,
     trimmed_kmeans,
 )
 import hdbwdm.clustering as clustering
@@ -54,6 +57,42 @@ def test_partition_rejects_empty_cluster():
         Partition(labels=np.array([0, 0, 2]), alpha=0.0)
     with pytest.raises(ValueError, match=r"got \[\]$"):
         Partition(labels=np.array([TRIMMED, TRIMMED]), alpha=0.0)
+
+
+@pytest.mark.parametrize("labels, ids", [
+    ([0, 1, 3, 3, 3, 3], "[0, 1, 3]"),
+    ([0, -2, 1], "[-2, 0, 1]"),
+    ([1, 1, 2], "[1, 2]"),
+    ([0, 5], "[0, 5]"),
+    (list(range(0, 40, 2)), "[0, 2, 4, ..., 34, 36, 38]"),
+])
+def test_partition_refusals_name_the_sorted_retained_ids(labels, ids):
+    message = f"retained cluster ids must be 0..K-1 with none missing, got {ids}"
+    with pytest.raises(ValueError) as refused:
+        Partition(labels=np.array(labels), alpha=0.0)
+    assert str(refused.value) == message
+
+
+def test_partition_refuses_a_huge_id_without_an_array_sized_by_it():
+    import tracemalloc
+
+    labels = np.array([0, 1, 2**62, 1])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"got \[0, 1, 4611686018427387904\]$"):
+            Partition(labels=labels, alpha=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_partition_k_does_not_depend_on_the_order_of_the_labels():
+    rng = np.random.default_rng(5)
+    labels = np.concatenate([np.repeat(np.arange(7), 3), np.full(4, TRIMMED)])
+    for _ in range(5):
+        part = Partition(labels=rng.permutation(labels), alpha=0.1)
+        assert (part.K, part.retained_count) == (7, 21)
 
 
 @pytest.mark.parametrize("labels, alpha, message", [
@@ -573,3 +612,23 @@ def test_cluster_centers_refuses_an_unknown_kind_as_a_usage_error():
     part = Partition(labels=np.array([0, 0, 1]), alpha=0.0)
     with pytest.raises(UsageError, match="kind must be 'medoid' or 'spatial-median', got 'mean'"):
         cluster_centers(np.zeros((3, 1)), part, kind="mean")
+
+
+def test_a_spatial_median_stopped_at_its_cap_warns_once_per_center(monkeypatch):
+    monkeypatch.setattr(clustering, "_WEISZFELD_MAX_ITER", 3)
+    X = np.random.default_rng(11).normal(size=(45, 3))
+    part = Partition(labels=np.repeat([0, 1, TRIMMED], [20, 22, 3]), alpha=0.1)
+    memo = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        centers = cluster_centers(X, part, "spatial-median", memo=memo)
+    assert [str(w.message) for w in caught] == [
+        "spatial median of cluster 0 (20 rows) did not converge in 3 steps",
+        "spatial median of cluster 1 (22 rows) did not converge in 3 steps",
+    ]
+    for k in range(2):
+        capped = spatial_median(X[part.labels == k], tol=1e-12, max_iter=3)
+        assert centers[k].tobytes() == capped.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a memo hit does not warn again
+        assert cluster_centers(X, part, "spatial-median", memo=memo).tobytes() == centers.tobytes()

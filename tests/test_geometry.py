@@ -31,7 +31,13 @@ import hdbwdm.geometry as geometry
 from hdbwdm import _openblas
 from hdbwdm.geometry import _MEDOID_ROWS, _distance_kernels, _medoid_candidates
 from hdbwdm.validity import _embed
-from oracles import brute_medoid, distance_sum_objective, grid_spatial_median, median_mad
+from oracles import (
+    brute_medoid,
+    distance_sum_objective,
+    grid_spatial_median,
+    median_mad,
+    weiszfeld_from_np_median,
+)
 
 
 def pairwise_medoid(X):
@@ -168,6 +174,33 @@ def test_spatial_median_convergence_flag():
     assert info.converged and info.n_iter >= 1
     _, starved = spatial_median(pts, max_iter=1, full_output=True)
     assert not starved.converged
+
+
+def _start_cases():
+    rng = np.random.default_rng(31)
+    return {
+        "one point": [[-0.0, 3.5, -2.0]],
+        "two points": [[-0.0, 1.0], [-0.0, -1.0]],
+        "three points": rng.normal(size=(3, 4)),
+        "rounded ties": rng.normal(size=(7, 3)).round(0),
+        "even ties": [[1.0, 1.0], [1.0, 1.0], [2.0, 0.0], [2.0, 0.0]],
+        "-0.0 column": np.column_stack([np.full(5, -0.0), rng.normal(size=5)]),
+        "-0.0 even column": np.column_stack([np.full(6, -0.0), rng.normal(size=(6, 2))]),
+        "one column": rng.normal(size=(8, 1)),
+        "twenty columns": rng.normal(size=(6, 20)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_start_cases()))
+@pytest.mark.parametrize("tol, max_iter", [(1e-8, 500), (1e-12, 20000), (1e-12, 2)])
+def test_spatial_median_is_the_weiszfeld_run_from_np_median(name, tol, max_iter):
+    # the start is a selection median, not np.median (which imports numpy.ma):
+    # every center, flag and step count stays the one np.median's start gives
+    points = np.asarray(_start_cases()[name], dtype=float)
+    point, info = spatial_median(points, tol=tol, max_iter=max_iter, full_output=True)
+    expected, converged, n_iter = weiszfeld_from_np_median(points, tol, max_iter)
+    assert point.tobytes() == expected.tobytes()
+    assert (info.converged, info.n_iter) == (converged, n_iter)
 
 
 def test_spatial_median_empty_input():

@@ -2,7 +2,9 @@
 
 import math
 import re
+import sys
 import warnings
+import weakref
 from dataclasses import replace
 from itertools import product
 
@@ -321,6 +323,27 @@ def test_hd_bwdm_at_alpha_zero_is_plain_kmeans(projection):
                      projection=projection, p=5, seed=4)
     report = hd_bwdm(X, cfg)
     assert report == expect and repr(report) == repr(expect)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="a 3.10 caller's stack holds the argument")
+def test_hd_bwdm_frees_the_raw_rows_before_it_projects(monkeypatch):
+    import hdbwdm.validity as validity
+
+    raw = []
+    alive = []
+
+    def read():
+        X = np.random.default_rng(4).normal(size=(60, 8))
+        raw.append(weakref.ref(X))
+        return X
+
+    def watched(Xs, model):
+        alive.append(raw[0]() is not None)
+        return project(Xs, model)
+
+    monkeypatch.setattr(validity, "project", watched)
+    hd_bwdm(read(), PipelineConfig(K=2, p=3))
+    assert alive == [False]
 
 
 def test_hd_bwdm_model_mismatch():
