@@ -16,6 +16,11 @@ A timeout the user exported wins: the step then does nothing.  The thread
 count, and so every split and every output byte, stays as the BLAS build
 and its settings make it.  With any other BLAS the step does nothing
 beyond numpy's import.
+
+The same lookup also gives ``projection.fit_pca`` numpy's LAPACK SVD
+routine, ``scipy_dgesdd_64_``, so that PCA makes numpy's own ``dgesdd``
+call in buffers it owns.  The lookup runs at most once a process: at
+import when numpy was loaded first, else on the first ``fit_pca``.
 """
 
 from __future__ import annotations
@@ -26,14 +31,28 @@ import glob
 import os
 import sys
 import threading
+from typing import Callable, NamedTuple
 
 _TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
 _MIN_TIMEOUT = "4"  # OpenBLAS clamps the log2 idle cycles to [4, 30]
 
 
+# dgesdd(JOBZ, M, N, A, LDA, S, U, LDU, VT, LDVT, WORK, LWORK, IWORK, INFO):
+# every argument by address, the integers 64-bit (numpy's OpenBLAS is an
+# ILP64 build).  A CFUNCTYPE entry releases the GIL for the call, as numpy
+# does; PyDLL's own entries keep it.
+_DGESDD = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)
+
+
+class _Entries(NamedTuple):
+    shutdown: Callable[[], None]  # blas_thread_shutdown_
+    read_env: Callable[[], None]  # openblas_read_env
+    dgesdd: Callable[..., None]  # scipy_dgesdd_64_, the LAPACK call behind np.linalg.svd
+
+
 @functools.cache
-def _numpy_openblas():
-    """numpy's OpenBLAS ``(blas_thread_shutdown_, openblas_read_env)``, or None.
+def _numpy_openblas() -> _Entries | None:
+    """numpy's OpenBLAS entries (``_Entries``), or None when any of them is missing.
 
     numpy's wheels load ``libscipy_openblas64_*.so`` from the ``numpy.libs``
     directory beside the package; ``RTLD_NOLOAD`` takes that loaded copy
@@ -46,7 +65,11 @@ def _numpy_openblas():
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
         try:
             lib = ctypes.PyDLL(path, mode=os.RTLD_NOLOAD)
-            return lib.blas_thread_shutdown_, lib.openblas_read_env
+            return _Entries(
+                lib.blas_thread_shutdown_,
+                lib.openblas_read_env,
+                _DGESDD(("scipy_dgesdd_64_", lib)),
+            )
         except (OSError, AttributeError):
             pass
     return None
@@ -70,11 +93,10 @@ def _quiet_numpy_blas() -> None:
     try:
         import numpy  # noqa: F401  (OpenBLAS reads the timeout as it loads)
 
-        calls = _numpy_openblas() if loaded else None
-        if calls is not None and threading.active_count() == 1:
-            shutdown, read_env = calls
-            read_env()
-            shutdown()
+        entries = _numpy_openblas() if loaded else None
+        if entries is not None and threading.active_count() == 1:
+            entries.read_env()
+            entries.shutdown()
     finally:
         del os.environ[_TIMEOUT]
 

@@ -9,18 +9,23 @@ from isometry on sampled point pairs.
 ``project``'s product and ``fit_pca``'s SVD are the pipeline's only
 threaded BLAS calls.  The package never changes the BLAS thread count, so
 their bytes follow the BLAS build, its CPU kernel and its settings.
-Between calls numpy's OpenBLAS worker threads sleep, not spin, because
-the package gives OpenBLAS its shortest idle timeout when it is imported
-(see ``hdbwdm._openblas``).
+``fit_pca`` makes ``np.linalg.svd``'s own LAPACK call through numpy's
+OpenBLAS, in buffers it owns, so the SVD's peak holds three fewer
+matrix-sized buffers than numpy's; with another BLAS build it calls
+``np.linalg.svd``.  Between calls numpy's OpenBLAS worker threads sleep,
+not spin, because the package gives OpenBLAS its shortest idle timeout
+when it is imported (see ``hdbwdm._openblas``).
 """
 
 from __future__ import annotations
 
+from ctypes import byref, c_int64
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from . import _openblas
+from .errors import DataError, NumericalError, UsageError
 from .geometry import _as_points
 
 __all__ = [
@@ -105,8 +110,11 @@ def fit_pca(X, p: int) -> ProjectionModel:
     Each row's sign is fixed so that its largest-magnitude entry is
     positive.  ``p`` may not exceed the attainable rank ``min(n-1, d)``.
 
-    The bytes follow the BLAS build, its CPU kernel and its thread count,
-    which this function never changes.
+    The SVD is ``np.linalg.svd(X - centers, full_matrices=False)``'s own
+    LAPACK call, made in buffers this function owns (see ``_svd``), so
+    the bytes are that call's.  They follow the BLAS build, its CPU
+    kernel and its thread count, which this function never changes.  An
+    SVD that does not converge raises :class:`NumericalError`.
     """
     X = _as_points(X, "X")
     n, d = X.shape
@@ -118,7 +126,7 @@ def fit_pca(X, p: int) -> ProjectionModel:
             f"p={p} exceeds the attainable rank {max_rank} for {n} observations in {d} dimensions"
         )
     centers = X.mean(axis=0)
-    _, svals, vt = np.linalg.svd(X - centers, full_matrices=False)
+    svals, vt = _svd(X, centers)
     loadings = vt[:p].copy()
     explained = (svals[:p] ** 2) / (n - 1)
     # sign convention: largest-|entry| of each loading made positive
@@ -133,6 +141,61 @@ def fit_pca(X, p: int) -> ProjectionModel:
         seed=None,
         explained_variance=explained,
     )
+
+
+def _svd(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and Vᵀ of ``np.linalg.svd(X - centers, full_matrices=False)``.
+
+    numpy computes them in one LAPACK call, ``dgesdd`` with JOBZ='S'.
+    With numpy's OpenBLAS (``hdbwdm._openblas``) this function makes that
+    call itself, with numpy's arguments and numpy's workspace (the size an
+    LWORK = -1 query reports, at least 1), so S and Vᵀ are numpy's bytes.
+    X is centred straight into the Fortran-order A that LAPACK overwrites,
+    and U, Vᵀ and the workspace are arrays of this call.  At the call the
+    process holds A (n × d), U (n × k), Vᵀ (k × d) and the workspace,
+    k = min(n, d); ``np.linalg.svd`` holds those and also the centred
+    C-order copy and its outputs, second copies of U and Vᵀ.  A, U and the
+    workspace are freed on return.
+
+    With another BLAS build it calls ``np.linalg.svd`` as it stands.  An
+    SVD that does not converge (INFO > 0; numpy's ``LinAlgError``) raises
+    :class:`NumericalError`.  A negative INFO names an argument LAPACK
+    refused, a programming error, and raises ``RuntimeError``.
+    """
+    entries = _openblas._numpy_openblas()
+    if entries is None:
+        try:
+            _, svals, vt = np.linalg.svd(X - centers, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("PCA's SVD did not converge") from exc
+        return svals, vt
+    n, d = X.shape
+    k = min(n, d)
+    a = np.empty((n, d), order="F")
+    np.subtract(X, centers, out=a)
+    svals = np.empty(k)
+    u = np.empty((n, k), order="F")
+    vt = np.empty((k, d), order="F")
+    iwork = np.empty(8 * k, dtype=np.int64)
+    rows, cols, lda, ldvt = (c_int64(v) for v in (n, d, n, k))
+    lwork, info = c_int64(-1), c_int64()
+
+    def dgesdd(work):
+        entries.dgesdd(
+            b"S", byref(rows), byref(cols), a.ctypes.data, byref(lda), svals.ctypes.data,
+            u.ctypes.data, byref(lda), vt.ctypes.data, byref(ldvt),
+            work.ctypes.data, byref(lwork), iwork.ctypes.data, byref(info),
+        )
+
+    size = np.empty(1)
+    dgesdd(size)  # LWORK = -1 asks for the workspace size, in WORK(1)
+    lwork.value = max(1, int(size[0]))
+    dgesdd(np.empty(lwork.value))
+    if info.value > 0:
+        raise NumericalError("PCA's SVD did not converge")
+    if info.value < 0:
+        raise RuntimeError(f"dgesdd refused its argument {-info.value}")
+    return svals, vt
 
 
 def project(X, model: ProjectionModel) -> np.ndarray:

@@ -3,8 +3,9 @@
 Everything in this file recomputes a quantity from its defining formula by
 grid search, exhaustive enumeration or a plain numpy call, sharing no code
 with the package, so a test that matches both can only pass when the
-formulas agree.  All of it but ``median_mad`` and ``weiszfeld_from_np_median``
-is exponential or grid-based and only usable on tiny inputs.
+formulas agree.  All of it but ``median_mad``, ``pca_by_numpy_svd`` and
+``weiszfeld_from_np_median`` is exponential or grid-based and only usable on
+tiny inputs.
 """
 
 import itertools
@@ -53,6 +54,23 @@ def median_mad(X):
     """
     centers = np.median(X, axis=0)
     return centers, np.median(np.abs(X - centers), axis=0)
+
+
+def pca_by_numpy_svd(X, p):
+    """``(loadings, explained variance, centers)`` from ``np.linalg.svd`` of the centred X.
+
+    The defining formula and the bytes ``fit_pca`` must reproduce: the
+    top p rows of Vᵀ, each signed so that its largest-magnitude entry is
+    positive, and the squared singular values over n - 1.
+    """
+    centers = X.mean(axis=0)
+    _, svals, vt = np.linalg.svd(X - centers, full_matrices=False)
+    loadings = vt[:p].copy()
+    lead = np.argmax(np.abs(loadings), axis=1)
+    signs = np.sign(loadings[np.arange(p), lead])
+    signs[signs == 0] = 1.0
+    loadings *= signs[:, None]
+    return loadings, svals[:p] ** 2 / (X.shape[0] - 1), centers
 
 
 def weiszfeld_from_np_median(points, tol=1e-8, max_iter=500):

@@ -185,6 +185,32 @@ def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, exc, 
     assert capsys.readouterr().err == f"out of memory: {detail}\n"
 
 
+@pytest.mark.parametrize("route", ["lapack", "np.linalg.svd"])
+def test_a_pca_svd_that_does_not_converge_exits_3_with_one_line(tmp_path, capsys, monkeypatch, route):
+    from hdbwdm import _openblas
+
+    entries = _openblas._numpy_openblas()
+    if route == "lapack":
+        if entries is None:
+            pytest.skip("numpy has no bundled OpenBLAS, so fit_pca calls np.linalg.svd")
+
+        def not_converging(*args):
+            entries.dgesdd(*args)
+            args[-1]._obj.value = 1  # INFO > 0, passed by reference
+
+        monkeypatch.setattr(_openblas, "_numpy_openblas", lambda: entries._replace(dgesdd=not_converging))
+    else:
+        def not_converging(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(_openblas, "_numpy_openblas", lambda: None)
+        monkeypatch.setattr(np.linalg, "svd", not_converging)
+    path = _write_small_dataset(tmp_path)
+    code = main(["hdbwdm", str(path), "--k", "2", "--p", "4", "--method", "pca", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == "numerical failure: PCA's SVD did not converge\n"
+
+
 def test_hdbwdm_numerical_failure_exit_code(tmp_path):
     # identical rows: every restart converges with an empty second cluster
     dup = tmp_path / "dup.csv"

@@ -377,8 +377,7 @@ from hdbwdm.geometry import medoid
 
 rng = np.random.default_rng(0)
 clusters = [rng.normal(size=shape) for shape in ((100, 400), (300, 300), (1990, 20), (4400, 100))]
-shutdown, _ = _openblas._numpy_openblas()
-shutdown()
+_openblas._numpy_openblas().shutdown()
 before = len(os.listdir("/proc/self/task"))
 for X in clusters:
     medoid(X)

@@ -13,6 +13,7 @@ import pytest
 from hdbwdm import (
     DataError,
     MixtureConfig,
+    NumericalError,
     ProjectionModel,
     UsageError,
     distortion_profile,
@@ -22,6 +23,7 @@ from hdbwdm import (
     project,
 )
 from hdbwdm import _openblas
+from oracles import pca_by_numpy_svd
 
 
 def test_rp_deterministic_for_seed():
@@ -108,6 +110,75 @@ def test_pca_rank_error_message():
 def test_pca_needs_two_rows():
     with pytest.raises(UsageError, match="^PCA needs at least 2 observations, got 1$"):
         fit_pca(np.ones((1, 3)), 1)
+
+
+def _normal(n, d, seed, loc=0.0):
+    return np.random.default_rng(seed).normal(loc=loc, size=(n, d))
+
+
+def _rank_three(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 3)) @ rng.normal(size=(3, d))
+
+
+# (make X, p); dgesdd takes its QR route from n >= floor(11 d / 6) rows, 916 at d = 500
+_PCA_SHAPES = {
+    "tall 1,000 x 500, QR route": (lambda: _normal(1000, 500, 21), 300),
+    "tall 916 x 500, first QR row count": (lambda: _normal(916, 500, 22), 300),
+    "tall 550 x 500, the benchmark mixture": (lambda: generate(MixtureConfig(seed=0)).X, 300),
+    "square 200 x 200": (lambda: _normal(200, 200, 23, loc=5.0), 150),
+    "wide 30 x 200, p = n - 1": (lambda: _normal(30, 200, 24), 29),
+    "wide 550 x 2,000": (lambda: _normal(550, 2000, 25), 150),
+    "n = 2": (lambda: _normal(2, 7, 26), 1),
+    "p = d": (lambda: _normal(40, 12, 27), 12),
+    "rank 3, zero singular values": (lambda: _rank_three(60, 20, seed=28), 19),
+}
+
+
+@pytest.mark.parametrize("case", list(_PCA_SHAPES))
+def test_pca_is_bitwise_numpys_svd(case):
+    # fit_pca makes np.linalg.svd's own LAPACK call, so every byte is its
+    make, p = _PCA_SHAPES[case]
+    X = make()
+    model = fit_pca(X, p)
+    loadings, explained, centers = pca_by_numpy_svd(X, p)
+    assert model.matrix.flags.c_contiguous
+    assert model.matrix.tobytes() == loadings.tobytes()
+    assert model.explained_variance.tobytes() == explained.tobytes()
+    assert model.centers.tobytes() == centers.tobytes()
+
+
+def _numpy_svd_raising(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize(
+    "info, error, message",
+    [
+        (1, NumericalError, "^PCA's SVD did not converge$"),
+        (-2, RuntimeError, "^dgesdd refused its argument 2$"),
+    ],
+    ids=["no convergence", "bad argument"],
+)
+def test_pca_reads_lapack_info(monkeypatch, info, error, message):
+    entries = _openblas._numpy_openblas()
+    if entries is None:
+        pytest.skip("numpy has no bundled OpenBLAS, so fit_pca calls np.linalg.svd")
+
+    def reporting(*args):
+        entries.dgesdd(*args)
+        args[-1]._obj.value = info  # INFO, passed by reference
+
+    monkeypatch.setattr(_openblas, "_numpy_openblas", lambda: entries._replace(dgesdd=reporting))
+    with pytest.raises(error, match=message):
+        fit_pca(np.random.default_rng(29).normal(size=(20, 6)), 3)
+
+
+def test_pca_without_openblas_reads_numpys_linalgerror(monkeypatch):
+    monkeypatch.setattr(_openblas, "_numpy_openblas", lambda: None)
+    monkeypatch.setattr(np.linalg, "svd", _numpy_svd_raising)
+    with pytest.raises(NumericalError, match="^PCA's SVD did not converge$"):
+        fit_pca(np.random.default_rng(29).normal(size=(20, 6)), 3)
 
 
 def test_projection_model_refuses_an_unknown_kind():
@@ -469,7 +540,18 @@ def blas_lookup_reset():
 def test_blas_park_falls_back_to_nothing(monkeypatch, blas_lookup_reset, missing):
     X = generate(MixtureConfig(seed=0)).X
     rp = fit_random_projection(X.shape[1], 300, seed=0)
+    svd_calls = []
+    numpy_svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return numpy_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    found = _openblas._numpy_openblas() is not None
     before = project(X, rp), fit_pca(X, 300)
+    # with numpy's OpenBLAS fit_pca makes the LAPACK call itself
+    assert svd_calls == ([] if found else [X.shape])
     _openblas._numpy_openblas.cache_clear()
     if missing == "library":
         monkeypatch.setattr(glob, "glob", lambda pattern: [])
@@ -484,6 +566,10 @@ def test_blas_park_falls_back_to_nothing(monkeypatch, blas_lookup_reset, missing
     after = project(X, rp), fit_pca(X, 300)
     assert after[0].tobytes() == before[0].tobytes()
     assert after[1].matrix.tobytes() == before[1].matrix.tobytes()
+    # without it, the same bytes come from np.linalg.svd
+    assert svd_calls[-1] == X.shape and len(svd_calls) == 1 + (not found)
+    assert after[1].explained_variance.tobytes() == before[1].explained_variance.tobytes()
+    assert after[1].centers.tobytes() == before[1].centers.tobytes()
 
 
 _LOOKUP = """
@@ -510,3 +596,49 @@ def test_blas_lookup_loads_no_new_shared_object():
     # numpy's first import reads the timeout itself, so it needs no lookup
     bare = "import hdbwdm\nprint(hdbwdm._openblas._numpy_openblas.cache_info().currsize)"
     assert _run_python(bare).split() == ["0"]
+
+
+_PCA_PEAK = _OPENBLAS + """
+import numpy as np
+from hdbwdm import fit_pca
+
+def peak_rss():
+    # VmHWM, this process's own peak: after a fork and exec, ru_maxrss also
+    # holds the peak of the parent process (here the test runner)
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+n, d, p = {n}, {d}, {p}
+k = min(n, d)
+lib = openblas()
+size, info = np.empty(1), ctypes.c_int64()
+def i(v):
+    return ctypes.byref(ctypes.c_int64(v))
+if lib is not None:  # LAPACK's workspace for the SVD, as an LWORK = -1 query reports it
+    lib.scipy_dgesdd_64_(b"S", i(n), i(d), None, i(n), None, None, i(n), None, i(k),
+                         size.ctypes.data_as(ctypes.c_void_p), i(-1), None, ctypes.byref(info))
+fit_pca(np.random.default_rng(1).normal(size=(40, 30)), 5)  # the first call's one-off costs
+X = np.random.default_rng(0).standard_normal((n, d))
+before = peak_rss()
+fit_pca(X, p)
+print(json.dumps({{
+    "found": lib is not None and info.value == 0,
+    "rise": peak_rss() - before,
+    "terms": 8 * (n * d + n * k + k * d + int(size[0]) + p * d),
+}}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("n, d, p", [(2000, 500, 150), (550, 2000, 150)])
+def test_pca_peak_is_a_u_vt_the_workspace_and_the_loadings(n, d, p):
+    # fit_pca's rise in the process's peak RSS: A (n x d), U (n x k), Vt (k x d), LAPACK's
+    # queried workspace and the p x d loadings, plus 6 MiB for the pages
+    # OpenBLAS's own buffers first touch (measured: 1.0-1.9 MiB at 2,000 x 500
+    # and 2.6-3.7 MiB at 550 x 2,000, at 1, 2, 4 and 8 threads); numpy's svd
+    # also holds the centred C-order copy and second copies of U and Vt,
+    # 19 and 23 MiB over the terms
+    result = json.loads(_run_python(_PCA_PEAK.format(n=n, d=d, p=p)))
+    if not result["found"]:
+        pytest.skip("numpy has no bundled OpenBLAS to query the workspace from")
+    assert result["rise"] <= result["terms"] + 6 * 2**20, result
